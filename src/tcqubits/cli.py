@@ -30,10 +30,6 @@ from .propagator import HeadroomError
 from .reduced import analytic_elements, assemble_density, density_to_json
 from .protocols import bell1_plan, bell2_plan, verify_plan, werner_solve
 
-CSV_COLUMNS = ("gt", "v_plus", "v_minus", "w", "re_mu", "im_mu",
-               "re_h_plus", "im_h_plus", "re_h_minus", "im_h_minus",
-               "concurrence", "fidelity")
-
 VALIDATE_GT_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 8.673, 12.0)
 
 
@@ -129,6 +125,8 @@ class ScanSpec:
     fmt: str = "csv"
 
     def __post_init__(self):
+        if not (math.isfinite(self.gt_min) and math.isfinite(self.gt_max)):
+            raise UsageError("--gt-min and --gt-max must be finite")
         if not self.gt_min < self.gt_max:
             raise UsageError("--gt-min must be smaller than --gt-max")
         if self.steps < 2:
@@ -200,20 +198,17 @@ def cmd_scan(spec: ScanSpec, out) -> int:
 
 
 def cmd_plan(protocol: str, args, out) -> int:
-    if protocol == "bell1":
-        plan = bell1_plan(args.m, parse_phase(args.phi), dim=args.dim)
-    elif protocol == "bell2":
-        try:
+    try:
+        if protocol == "bell1":
+            plan = bell1_plan(args.m, parse_phase(args.phi), dim=args.dim)
+        elif protocol == "bell2":
             plan = bell2_plan(args.l)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    elif protocol == "werner":
-        try:
+        elif protocol == "werner":
             plan = werner_solve(args.v_plus, args.w, gt_max=args.gt_max)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown protocol {protocol!r}")
+        else:  # pragma: no cover - argparse restricts choices
+            raise UsageError(f"unknown protocol {protocol!r}")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     report = verify_plan(plan, tolerance=args.tol)
     payload = plan.to_json()
@@ -314,6 +309,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     def run(out) -> int:
+        if getattr(args, "tol", None) is not None and not math.isfinite(args.tol):
+            raise UsageError("--tol must be finite")
         if args.command == "scan":
             outputs = tuple(s.strip() for s in args.outputs.split(",")) if args.outputs \
                 else ("elements", "concurrence")

@@ -9,6 +9,7 @@ pairs c_m|m> + c_{m+2}|m+2>), and parity-projected coherent states.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ class FieldState:
         if amp.ndim != 1 or amp.size < 1:
             raise ValueError("amplitudes must be a nonempty 1-D vector")
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"field state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
@@ -88,6 +89,8 @@ def superpose(terms, dim: int, normalize: bool = True) -> FieldState:
             raise IndexError(f"photon number {n} outside truncation [0, {dim})")
         amp[n] += complex(coeff)
     norm = np.linalg.norm(amp)
+    if not np.isfinite(norm):
+        raise ValueError("superposition coefficients must be finite")
     if norm == 0.0:
         raise ValueError("superposition has all-zero coefficients")
     if normalize:
@@ -105,6 +108,8 @@ def coherent_state(alpha: complex, dim: int, parity: str = "any") -> FieldState:
     if parity not in ("any", "even", "odd"):
         raise ValueError(f"parity must be 'any', 'even' or 'odd', got {parity!r}")
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     n = np.arange(dim)
     a2 = abs(alpha) ** 2
     if alpha == 0:

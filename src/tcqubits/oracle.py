@@ -11,6 +11,7 @@ correctness check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,9 +19,6 @@ from .fock import FieldState
 from .propagator import (BASIS, EE, EG, GE, GG, JointState, apply_propagator,
                          ensure_headroom)
 from .reduced import analytic_elements, assemble_density, partial_trace
-
-# one eigendecomposition per dim, shared read-only afterwards
-_DECOMP_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def build_hamiltonian(dim: int) -> np.ndarray:
@@ -55,10 +53,10 @@ def excitation_operator(dim: int) -> np.ndarray:
     return np.diag(np.concatenate([qubit_exc[k] + n for k in range(4)]))
 
 
+# only the last dim's eigendecomposition stays cached, shared read-only
+@lru_cache(maxsize=1)
 def _decomposition(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    if dim not in _DECOMP_CACHE:
-        _DECOMP_CACHE[dim] = np.linalg.eigh(build_hamiltonian(dim))
-    return _DECOMP_CACHE[dim]
+    return np.linalg.eigh(build_hamiltonian(dim))
 
 
 def evolve_oracle(state: JointState, gt: float) -> JointState:

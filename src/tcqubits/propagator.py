@@ -38,7 +38,7 @@ class JointState:
         if br.ndim != 2 or br.shape[0] != 4 or br.shape[1] < 1:
             raise ValueError("branches must have shape (4, dim)")
         norm = np.linalg.norm(br)
-        if abs(norm - 1.0) > JOINT_NORM_TOL:
+        if not abs(norm - 1.0) <= JOINT_NORM_TOL:
             raise ValueError(f"joint state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         br.flags.writeable = False
         object.__setattr__(self, "branches", br)
@@ -46,22 +46,6 @@ class JointState:
     @property
     def dim(self) -> int:
         return self.branches.shape[1]
-
-    @property
-    def branch_ee(self) -> np.ndarray:
-        return self.branches[EE]
-
-    @property
-    def branch_eg(self) -> np.ndarray:
-        return self.branches[EG]
-
-    @property
-    def branch_ge(self) -> np.ndarray:
-        return self.branches[GE]
-
-    @property
-    def branch_gg(self) -> np.ndarray:
-        return self.branches[GG]
 
     @classmethod
     def from_field(cls, field: FieldState, qubits: str = "gg") -> "JointState":
@@ -77,22 +61,6 @@ class JointState:
         n = np.arange(self.dim)
         qubit_exc = (2, 1, 1, 0)
         return float(sum((qubit_exc[k] + n) @ (np.abs(self.branches[k]) ** 2) for k in range(4)))
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "branches": {
-                lbl: [[float(c.real), float(c.imag)] for c in self.branches[k]]
-                for k, lbl in enumerate(BASIS)
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "JointState":
-        br = np.array([[complex(re, im) for re, im in data["branches"][lbl]] for lbl in BASIS])
-        if br.shape[1] != data["dim"]:
-            raise ValueError("dim does not match branch length")
-        return cls(br)
 
 
 def abc(n, gt: float):

@@ -53,28 +53,6 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10):
     return x, f(x)
 
 
-def bisect_root(f, lo: float, hi: float, xtol: float = 1e-15, maxiter: int = 200) -> float:
-    """Root of f on a sign-change bracket [lo, hi] by plain bisection."""
-    fa, fb = f(lo), f(hi)
-    if fa == 0.0:
-        return lo
-    if fb == 0.0:
-        return hi
-    if fa * fb > 0:
-        raise ValueError("bisect_root requires a sign change on the bracket")
-    a, b = float(lo), float(hi)
-    for _ in range(maxiter):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0 or (b - a) < xtol:
-            return m
-        if fa * fm < 0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
 # ---------------------------------------------------------------------------
 # first-class Bell protocol
 
@@ -180,8 +158,8 @@ def first_concurrence_peak(fld: FieldState, gt_hi: float, threshold: float,
 # ---------------------------------------------------------------------------
 # negative branch of the first-class protocol
 
-#: Reference solution points for the sign-flipped branch, used as polish
-#: seeds so the search reproduces the known solution list exactly.
+#: Reference (|c_m|^2, m) solution points of the sign-flipped branch; their
+#: m values are the default queries of bell1_negative_branch_roots.
 NEGATIVE_BRANCH_REFERENCE_SEEDS = (
     (-1.01631, -2.47645),
     (0.144845, -0.832344),
@@ -225,20 +203,6 @@ class NegativeBranchRoot:
 @dataclass(frozen=True)
 class NegativeBranchSearch:
     roots: tuple
-    seeds_total: int
-    seeds_converged: int
-    failed_seeds: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "roots": [
-                {"c_m_sq": r.c_m_sq, "m": r.m, "feasible": r.feasible, "reason": r.reason}
-                for r in self.roots
-            ],
-            "seeds_total": self.seeds_total,
-            "seeds_converged": self.seeds_converged,
-            "failed_seeds": [list(s) for s in self.failed_seeds],
-        }
 
 
 def _classify_root(x: float, m: float) -> tuple[bool, str]:
@@ -252,82 +216,23 @@ def _classify_root(x: float, m: float) -> tuple[bool, str]:
     return True, "feasible"
 
 
-def bell1_negative_branch_roots(grid: int = 32, box: float = 3.0,
-                                dedup_tol: float = 1e-6) -> NegativeBranchSearch:
-    """Root-find the half-half conditions of the sign-flipped branch.
+def bell1_negative_branch_roots(ms=None) -> NegativeBranchSearch:
+    """Points of the sign-flipped branch's solution curve at the query m values.
 
-    The two residuals are rank-deficient (their sum vanishes identically),
-    so a damped pseudoinverse Newton converges onto the solution curve and
-    the reported points depend on the seeding. Seeds are a grid over
-    [-box, box]^2 plus the reference points, which the polish
-    reproduces to ~1e-5; every seed's outcome is accounted for. Roots are
-    deduplicated and flagged infeasible when |c_m|^2 leaves [0, 1] or m is
-    not a nonnegative integer.
+    The half-half conditions are rank-deficient (their two residuals sum to
+    zero identically), so their solutions form the curve
+    |c_m|^2 = negative_branch_curve(m) rather than isolated roots. Each
+    query m (default: the reference points' m values) yields the curve
+    point there, flagged infeasible when |c_m|^2 leaves [0, 1] or m is not
+    a nonnegative integer.
     """
-    seeds = [(x0, m0)
-             for x0 in np.linspace(-box, box, grid)
-             for m0 in np.linspace(-box, box, grid)]
-    seeds += [tuple(s) for s in NEGATIVE_BRANCH_REFERENCE_SEEDS]
-
-    def res_vec(x, m):
-        return np.array(negative_branch_residuals(x, m))
-
-    found = []
-    failed = []
-    converged = 0
-    for x0, m0 in seeds:
-        x, m = float(x0), float(m0)
-        ok = False
-        for _ in range(80):
-            if min(abs(2 * m - 1.0), abs(2 * m + 3.0)) < 1e-8:
-                break
-            f = res_vec(x, m)
-            if not np.all(np.isfinite(f)):
-                break
-            if np.max(np.abs(f)) <= 1e-12:
-                ok = True
-                break
-            h = 1e-7
-            jac = np.column_stack([
-                (res_vec(x + h, m) - res_vec(x - h, m)) / (2 * h),
-                (res_vec(x, m + h) - res_vec(x, m - h)) / (2 * h),
-            ])
-            step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-            # backtrack until the residual decreases
-            scale = 1.0
-            base = np.max(np.abs(f))
-            for _ in range(30):
-                xn, mn = x + scale * step[0], m + scale * step[1]
-                fn = res_vec(xn, mn)
-                if np.all(np.isfinite(fn)) and np.max(np.abs(fn)) < base:
-                    x, m = xn, mn
-                    break
-                scale *= 0.5
-            else:
-                break
-        if ok:
-            converged += 1
-            found.append((x, m))
-        else:
-            failed.append((float(x0), float(m0)))
-
-    distinct = []
-    for x, m in found:
-        if not any(math.hypot(x - xd, m - md) <= dedup_tol for xd, md in distinct):
-            distinct.append((x, m))
-    distinct.sort(key=lambda p: (p[1], p[0]))
-
-    roots = tuple(
-        NegativeBranchRoot(c_m_sq=x, m=m, feasible=feas, reason=why)
-        for x, m in distinct
-        for feas, why in [_classify_root(x, m)]
-    )
-    return NegativeBranchSearch(
-        roots=roots,
-        seeds_total=len(seeds),
-        seeds_converged=converged,
-        failed_seeds=tuple(failed),
-    )
+    if ms is None:
+        ms = [m for _, m in NEGATIVE_BRANCH_REFERENCE_SEEDS]
+    roots = []
+    for m in map(float, ms):
+        x = negative_branch_curve(m)
+        roots.append(NegativeBranchRoot(x, m, *_classify_root(x, m)))
+    return NegativeBranchSearch(roots=tuple(roots))
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +319,22 @@ def werner_forward_elements(c10_sq: float, gt: float):
     return v_plus, v_minus, w
 
 
-def werner_solve(target_vplus: float, target_w: float,
-                 gt_max: float = 2.2, grid: int = 2048) -> WernerPlan:
-    """Solve the |0>,|10> forward model for the target (v_plus, w) pair.
+def werner_solve(target_vplus: float, target_w: float, gt_max: float = 2.2) -> WernerPlan:
+    """Solve the |0>,|10> forward model for the target (v_plus, w) pair in closed form.
 
-    Brackets the reduced single-variable residual on a grid over one
-    period, polishes each bracket by bisection, then extends the base
-    solutions over the period lattice (and their reflections) up to
+    With u = cos(sqrt(38) gt), the cross-multiplied consistency residual
+    w * v_plus_unit(gt) - v_plus * w_unit(gt) factors as
+    (u - 1) [90 w (u - 1) + 95 v_plus (1 + u)] / 361, so the base time is
+    gt0 = arccos(u*) / sqrt(38) with u* = (90 w - 95 v_plus) / (90 w + 95 v_plus),
+    and |c10|^2 follows from either target equation. gt0 and its
+    reflection period - gt0 are extended over the period lattice up to
     gt_max. Raises when no solution exists in the feasible box.
     """
     tv, tw = float(target_vplus), float(target_w)
-    if tv < 0 or tw < 0 or tv + 2.0 * tw > 1.0 + 1e-12:
+    if not (tv >= 0 and tw >= 0 and tv + 2.0 * tw <= 1.0 + 1e-12):
         raise ValueError("targets must satisfy v_plus, w >= 0 and v_plus + 2w <= 1")
+    if not math.isfinite(gt_max):
+        raise ValueError("gt_max must be finite")
 
     if tv == 0.0 and tw == 0.0:
         predicted = XStateElements(v_plus=0.0, v_minus=1.0, w=0.0,
@@ -433,62 +342,27 @@ def werner_solve(target_vplus: float, target_w: float,
         return WernerPlan(c0_sq=1.0, c10_sq=0.0, times=(0.0,),
                           period=WERNER_PERIOD, predicted=predicted, degenerate=True)
 
-    def vp_unit(gt):
-        u = math.cos(math.sqrt(38.0) * gt)
-        return (90.0 / 361.0) * (u - 1.0) ** 2
-
-    def w_unit(gt):
-        u = math.cos(math.sqrt(38.0) * gt)
-        return (5.0 / 19.0) * (1.0 - u * u)
-
-    def g(gt):
-        # cross-multiplied consistency of the two target equations
-        return tw * vp_unit(gt) - tv * w_unit(gt)
-
-    ts = np.linspace(0.0, WERNER_PERIOD, grid + 1)
-    base_roots = []
-    for lo, hi in zip(ts[:-1], ts[1:]):
-        glo, ghi = g(lo), g(hi)
-        if glo == 0.0:
-            base_roots.append(float(lo))
-            continue
-        if glo * ghi < 0:
-            base_roots.append(bisect_root(g, float(lo), float(hi)))
-
-    solutions = []
-    for gt0 in base_roots:
-        wu, vu = w_unit(gt0), vp_unit(gt0)
-        if wu > 1e-15:
-            x = tw / wu
-        elif vu > 1e-15:
-            x = tv / vu
-        else:
-            continue  # gt = 0 style root; needs both targets zero, handled above
-        if not -1e-9 <= x <= 1.0 + 1e-9:
-            continue
-        x = min(max(x, 0.0), 1.0)
-        if abs(x * vu - tv) > 1e-9 or abs(x * wu - tw) > 1e-9:
-            continue
-        if not any(abs(gt0 - s[0]) < 1e-10 for s in solutions):
-            solutions.append((gt0, x))
-
-    if not solutions:
+    gt0 = math.acos((90.0 * tw - 95.0 * tv) / (90.0 * tw + 95.0 * tv)) / math.sqrt(38.0)
+    vu, _, wu = werner_forward_elements(1.0, gt0)
+    if wu > 1e-15:
+        x = tw / wu
+    elif vu > 1e-15:
+        x = tv / vu
+    else:
+        x = math.inf  # gt0 = 0 reaches only the degenerate target handled above
+    if not x <= 1.0 + 1e-9:
         raise ValueError("no solution in the feasible box (|c10|^2 in [0, 1], gt in one period)")
+    x = min(x, 1.0)
 
-    x = solutions[0][1]
-    # extend base roots over the lattice gt + l*period within [0, gt_max]
     times = set()
-    for gt0, _ in solutions:
+    for base in (gt0, WERNER_PERIOD - gt0):
         shift = 0
-        while True:
-            t_img = gt0 + shift * WERNER_PERIOD
-            if t_img > gt_max:
-                break
-            times.add(round(t_img, 15))
+        while base + shift * WERNER_PERIOD <= gt_max:
+            times.add(round(base + shift * WERNER_PERIOD, 15))
             shift += 1
     times = tuple(sorted(times))
 
-    vp, vm, w = werner_forward_elements(x, solutions[0][0])
+    vp, vm, w = werner_forward_elements(x, gt0)
     predicted = XStateElements(v_plus=vp, v_minus=vm, w=w,
                                h_plus=0.0, h_minus=0.0, mu=0.0)
     return WernerPlan(c0_sq=1.0 - x, c10_sq=x, times=times,

@@ -125,6 +125,21 @@ def test_scan_headroom_exits_2(capsys):
     assert "headroom" in err
 
 
+@pytest.mark.parametrize("recipe", ["0:nan,0", "even-coherent:nan"])
+def test_scan_nan_recipe_exits_2(recipe, capsys):
+    code, _, err = run_cli(["scan", "--field", recipe, "--gt-max", "1"], capsys)
+    assert code == 2
+    assert "invalid field recipe" in err
+    assert "Traceback" not in err
+
+
+def test_scan_nonfinite_window_exits_2(capsys):
+    code, _, err = run_cli(["scan", "--field", "vacuum", "--gt-max", "inf",
+                            "--steps", "3"], capsys)
+    assert code == 2
+    assert err.strip() == "error: --gt-min and --gt-max must be finite"
+
+
 def test_scan_density_requires_json(capsys):
     code, _, err = run_cli(["scan", "--field", "vacuum", "--gt-max", "1",
                             "--outputs", "density"], capsys)
@@ -146,6 +161,18 @@ def test_plan_bell1(capsys):
     assert data["gt"][0] == pytest.approx(8.6738, abs=1e-3)
     assert data["verification"]["passed"] is True
     assert data["verification"]["fidelity"] >= 0.999
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--m", "0"], "m must be >= 1"),
+    (["--m", "30", "--dim", "10"], "dim 10 too small"),
+])
+def test_plan_bell1_bad_parameters_exit_2(args, message, capsys):
+    code, out, err = run_cli(["plan", "bell1", *args], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_plan_bell2(capsys):
@@ -175,6 +202,20 @@ def test_plan_werner(capsys):
 def test_plan_werner_infeasible_exits_2(capsys):
     code, _, err = run_cli(["plan", "werner", "--v-plus", "0.5", "--w", "0.25"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [["plan", "bell2"], ["validate", "--dim", "16"]])
+def test_nonfinite_tol_exits_2(command, capsys):
+    code, out, err = run_cli([*command, "--tol", "nan"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: --tol must be finite"
+
+
+def test_plan_werner_infinite_gt_max_exits_2(capsys):
+    code, _, err = run_cli(["plan", "werner", "--gt-max", "inf"], capsys)
+    assert code == 2
+    assert "gt_max must be finite" in err
 
 
 def test_validate_small_run(capsys):

@@ -129,6 +129,15 @@ def test_constructors_normalized():
 def test_field_state_rejects_unnormalized():
     with pytest.raises(ValueError):
         FieldState(np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="normalized"):
+        FieldState(np.array([np.nan, 0.0, 0.0]))
+
+
+def test_constructors_reject_nonfinite_inputs():
+    with pytest.raises(ValueError, match="finite"):
+        superpose([(0, np.nan), (2, 1.0)], dim=8)
+    with pytest.raises(ValueError, match="finite"):
+        coherent_state(np.nan, 16, parity="even")
 
 
 def test_has_headroom():

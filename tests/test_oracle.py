@@ -5,7 +5,7 @@ import pytest
 
 from tcqubits import (JointState, apply_propagator, build_hamiltonian, coherent_state,
                       compare_paths, evolve_oracle, number_state, superpose)
-from tcqubits.oracle import excitation_operator
+from tcqubits.oracle import _decomposition, excitation_operator
 from tcqubits.propagator import EE, EG, GE, GG
 
 RNG = np.random.default_rng(4242)
@@ -112,6 +112,12 @@ def test_compare_paths_reports_location():
     assert rep.gt == 0.9
     data = rep.to_json()
     assert set(data) == {"max_density_dev", "density_argmax", "max_joint_dev", "gt"}
+
+
+def test_one_decomposition_cached():
+    compare_paths(number_state(1, 8), 0.5)
+    compare_paths(number_state(1, 12), 0.5)
+    assert _decomposition.cache_info().currsize == 1
 
 
 def test_headroom_enforced():

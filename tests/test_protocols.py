@@ -8,7 +8,7 @@ from tcqubits import (JointState, analytic_elements, apply_propagator, assemble_
                       bell1_purity_factor, bell1_time, bell2_plan, concurrence, fidelity,
                       first_concurrence_peak, partial_trace, singlet_vector, superpose,
                       verify_plan, werner_forward_elements, werner_solve)
-from tcqubits.protocols import (NEGATIVE_BRANCH_REFERENCE_SEEDS, WERNER_PERIOD, bisect_root,
+from tcqubits.protocols import (NEGATIVE_BRANCH_REFERENCE_SEEDS, WERNER_PERIOD,
                                 golden_section_max, negative_branch_curve,
                                 negative_branch_residuals)
 
@@ -22,15 +22,6 @@ def test_golden_section_max_quadratic():
     x, fx = golden_section_max(lambda t: -(t - 2.0) ** 2 + 5.0, 0.0, 5.0)
     assert x == pytest.approx(2.0, abs=1e-6)
     assert fx == pytest.approx(5.0, abs=1e-12)
-
-
-def test_bisect_root_cosine():
-    assert bisect_root(math.cos, 0.0, 2.0) == pytest.approx(math.pi / 2, abs=1e-12)
-
-
-def test_bisect_root_requires_sign_change():
-    with pytest.raises(ValueError):
-        bisect_root(lambda t: t * t + 1.0, -1.0, 1.0)
 
 
 # --- first-class Bell plan --------------------------------------------------
@@ -172,10 +163,10 @@ def test_negative_branch_reproduces_reference_roots():
         assert all(not r.feasible for r in matches)
 
 
-def test_negative_branch_seed_accounting():
-    search = bell1_negative_branch_roots(grid=8)
-    assert search.seeds_total == 8 * 8 + len(NEGATIVE_BRANCH_REFERENCE_SEEDS)
-    assert search.seeds_converged + len(search.failed_seeds) == search.seeds_total
+def test_negative_branch_roots_solve_conditions():
+    ms = np.linspace(-2.95, 2.95, 60)  # steps of 0.1 that miss the poles at m = -3/2, +-1/2
+    search = bell1_negative_branch_roots(ms)
+    assert [r.m for r in search.roots] == list(ms)
     assert all(max(abs(v) for v in negative_branch_residuals(r.c_m_sq, r.m)) <= 1e-12
                for r in search.roots)
 
