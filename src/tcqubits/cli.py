@@ -31,6 +31,8 @@ from .reduced import analytic_elements, assemble_density, density_to_json
 from .protocols import bell1_plan, bell2_plan, verify_plan, werner_solve
 
 VALIDATE_GT_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 8.673, 12.0)
+#: scan rows evaluated (and, for CSV, written) per batched kernel call
+SCAN_CHUNK = 256
 
 
 class UsageError(ValueError):
@@ -162,29 +164,35 @@ def cmd_scan(spec: ScanSpec, out) -> int:
     if "fidelity" in spec.outputs:
         columns.append("fidelity")
 
-    rows = []
-    for gt in np.linspace(spec.gt_min, spec.gt_max, spec.steps):
-        elems = analytic_elements(fld, float(gt))
-        rho = assemble_density(elems)
-        row = {"gt": float(gt)}
-        if "elements" in spec.outputs:
-            row.update(v_plus=elems.v_plus, v_minus=elems.v_minus, w=elems.w,
-                       re_mu=elems.mu.real, im_mu=elems.mu.imag,
-                       re_h_plus=elems.h_plus.real, im_h_plus=elems.h_plus.imag,
-                       re_h_minus=elems.h_minus.real, im_h_minus=elems.h_minus.imag)
-        if "concurrence" in spec.outputs:
-            row["concurrence"] = concurrence(rho)
-        if "fidelity" in spec.outputs:
-            row["fidelity"] = fidelity(rho, fid_target)
-        if "density" in spec.outputs:
-            row["density"] = density_to_json(rho)
-        rows.append(row)
-
+    grid = np.linspace(spec.gt_min, spec.gt_max, spec.steps)
     if spec.fmt == "csv":
         out.write(",".join(columns) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(row[c]) for c in columns) + "\n")
-    else:
+    rows = []
+    for start in range(0, spec.steps, SCAN_CHUNK):
+        gts = grid[start:start + SCAN_CHUNK]
+        elems = analytic_elements(fld, gts)
+        rho = assemble_density(elems)
+        cols = {"gt": gts}
+        if "elements" in spec.outputs:
+            cols.update(v_plus=elems.v_plus, v_minus=elems.v_minus, w=elems.w,
+                        re_mu=elems.mu.real, im_mu=elems.mu.imag,
+                        re_h_plus=elems.h_plus.real, im_h_plus=elems.h_plus.imag,
+                        re_h_minus=elems.h_minus.real, im_h_minus=elems.h_minus.imag)
+        if "concurrence" in spec.outputs:
+            cols["concurrence"] = concurrence(rho)
+        if "fidelity" in spec.outputs:
+            cols["fidelity"] = fidelity(rho, fid_target)
+        table = zip(*(cols[c].tolist() for c in columns))
+        if spec.fmt == "csv":
+            out.write("".join(",".join(map(_fmt, row)) + "\n" for row in table))
+        else:
+            for i, values in enumerate(table):
+                row = dict(zip(columns, values))
+                if "density" in spec.outputs:
+                    row["density"] = density_to_json(rho[i])
+                rows.append(row)
+
+    if spec.fmt == "json":
         payload = {
             "recipe": spec.recipe,
             "dim": spec.dim,

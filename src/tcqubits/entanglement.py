@@ -21,29 +21,45 @@ HERMITICITY_TOL = 1e-8
 
 
 def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
-    """Matrix square root of a Hermitian PSD matrix via eigendecomposition.
+    """Matrix square root of a Hermitian PSD matrix (or stack) via eigendecomposition.
 
     Eigenvalues below the relative noise floor are zeroed: the square root
     would otherwise amplify O(eps) jitter to O(sqrt(eps)).
     """
-    evals, evecs = np.linalg.eigh((rho + rho.conj().T) / 2)
+    evals, evecs = np.linalg.eigh((rho + _dagger(rho)) / 2)
     evals = np.clip(evals, 0.0, None)
-    evals[evals < 1e-14 * max(evals[-1], 1e-300)] = 0.0
-    return (evecs * np.sqrt(evals)) @ evecs.conj().T
+    evals[evals < 1e-14 * np.maximum(evals[..., -1:], 1e-300)] = 0.0
+    return (evecs * np.sqrt(evals)[..., None, :]) @ _dagger(evecs)
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix, in [0, 1]."""
+def _dagger(mat: np.ndarray) -> np.ndarray:
+    return mat.conj().swapaxes(-1, -2)
+
+
+def _density_stack(rho) -> np.ndarray:
+    """rho as a complex 4x4 matrix or (T, 4, 4) stack; anything else raises."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError("density matrix must be 4x4")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+    if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
+        raise ValueError("density matrix must be 4x4 or a (T, 4, 4) stack")
+    return rho
+
+
+def concurrence(rho: np.ndarray):
+    """Wootters concurrence in [0, 1] of a two-qubit density matrix.
+
+    A (T, 4, 4) stack gives a length-T array; every matrix must pass the
+    Hermiticity check.
+    """
+    rho = _density_stack(rho)
+    if np.max(np.abs(rho - _dagger(rho))) > HERMITICITY_TOL:
         raise ValueError("concurrence requires a Hermitian matrix")
     rho_tilde = _YY @ rho.conj() @ _YY
     sq = _sqrtm_psd(rho)
     evals = np.linalg.eigvalsh(sq @ rho_tilde @ sq)
-    lam = np.sqrt(np.clip(evals, 0.0, None))[::-1]
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.sqrt(np.clip(evals, 0.0, None)).T  # ascending; lam[k] is one value per matrix
+    c = lam[3] - lam[2] - lam[1] - lam[0]
+    c = np.where(c > 0.0, c, 0.0)
+    return float(c) if c.ndim == 0 else c
 
 
 def concurrence_x_state(rho: np.ndarray) -> float:
@@ -137,17 +153,19 @@ def target(kind: str, phi: float = 0.0, eta: float | None = None, k: float | Non
     raise ValueError(f"unknown target kind {kind!r}")
 
 
-def fidelity(rho: np.ndarray, sigma) -> float:
+def fidelity(rho: np.ndarray, sigma):
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in [0, 1].
 
     sigma may be a density matrix or a TargetState. For a pure sigma this
-    reduces to <psi|rho|psi>.
+    reduces to <psi|rho|psi>. A (T, 4, 4) stack of rho gives a length-T
+    array.
     """
     if isinstance(sigma, TargetState):
         sigma = sigma.matrix
-    rho = np.asarray(rho, dtype=complex)
+    rho = _density_stack(rho)
     sigma = np.asarray(sigma, dtype=complex)
     sq = _sqrtm_psd(rho)
     inner = _sqrtm_psd(sq @ sigma @ sq)
-    f = float(np.trace(inner).real ** 2)
-    return min(max(f, 0.0), 1.0)
+    tr = np.trace(inner, axis1=-2, axis2=-1).real
+    f = np.minimum(np.maximum(tr * tr, 0.0), 1.0)  # tr * tr: a scalar and a batch row round alike
+    return float(f) if f.ndim == 0 else f

@@ -66,8 +66,14 @@ def evolve_oracle(state: JointState, gt: float) -> JointState:
     ensure_headroom(state.branches)
     evals, evecs = _decomposition(state.dim)
     psi = state.branches.reshape(-1)
-    out = evecs @ (np.exp(-1j * gt * evals) * (evecs.conj().T @ psi))
+    out = _real_matvec(evecs, np.exp(-1j * gt * evals) * _real_matvec(evecs.T, psi))
     return JointState(out.reshape(4, state.dim))
+
+
+def _real_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat @ vec for a real mat and complex vec, without casting mat to complex."""
+    parts = mat @ np.stack([vec.real, vec.imag], axis=1)
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 @dataclass(frozen=True)

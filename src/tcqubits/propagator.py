@@ -63,21 +63,23 @@ class JointState:
         return float(sum((qubit_exc[k] + n) @ (np.abs(self.branches[k]) ** 2) for k in range(4)))
 
 
-def abc(n, gt: float):
+def abc(n, gt):
     """Trig building blocks (A, B, C) at photon number n.
 
-    C(n) = 2(2n+1), A = cos(gt sqrt(C)), B = sin(gt sqrt(C)). Accepts
-    scalars or arrays; n must be >= 0 (C would go negative otherwise,
-    putting an imaginary argument under the cosine).
+    C(n) = 2(2n+1), A = cos(gt sqrt(C)), B = sin(gt sqrt(C)). n and gt
+    may be scalars or broadcastable arrays (A and B take their broadcast
+    shape, C the shape of n); all-scalar input returns floats. n must be
+    >= 0 (C would go negative otherwise, putting an imaginary argument
+    under the cosine).
     """
     n_arr = np.asarray(n, dtype=float)
     if np.any(n_arr < 0):
         raise ValueError("abc requires n >= 0; callers guard the n-1 terms themselves")
-    if not np.isfinite(gt):
+    if not np.isfinite(gt).all():
         raise ValueError("gt must be finite")
     C = 2.0 * (2.0 * n_arr + 1.0)
     arg = gt * np.sqrt(C)
-    if np.isscalar(n) or n_arr.ndim == 0:
+    if arg.ndim == 0:
         return float(np.cos(arg)), float(np.sin(arg)), float(C)
     return np.cos(arg), np.sin(arg), C
 

@@ -136,22 +136,23 @@ def first_concurrence_peak(fld: FieldState, gt_hi: float, threshold: float,
                            samples: int = 4096, grid_slack: float = 0.05):
     """First local concurrence maximum above threshold on [0, gt_hi].
 
-    Grid scan plus golden-section refinement of each candidate bracket;
-    the threshold applies to the refined peak (narrow peaks alias below
-    it on the raw grid). Returns (gt_peak, peak) or None when no local
-    maximum reaches the threshold.
+    Grid scan (one batched evaluation) plus golden-section refinement of
+    each candidate bracket; the threshold applies to the refined peak
+    (narrow peaks alias below it on the raw grid). Returns (gt_peak, peak)
+    or None when no local maximum reaches the threshold.
     """
     ts = np.linspace(0.0, gt_hi, samples)
 
     def conc(t):
         return concurrence(assemble_density(analytic_elements(fld, t)))
 
-    cs = np.array([conc(t) for t in ts])
-    for i in range(1, samples - 1):
-        if cs[i] >= cs[i - 1] and cs[i] >= cs[i + 1] and cs[i] >= threshold - grid_slack:
-            gt_pk, c_pk = golden_section_max(conc, ts[i - 1], ts[i + 1])
-            if c_pk >= threshold:
-                return gt_pk, c_pk
+    cs = conc(ts)
+    inner = cs[1:-1]
+    candidates = (inner >= cs[:-2]) & (inner >= cs[2:]) & (inner >= threshold - grid_slack)
+    for i in np.flatnonzero(candidates) + 1:
+        gt_pk, c_pk = golden_section_max(conc, ts[i - 1], ts[i + 1])
+        if c_pk >= threshold:
+            return gt_pk, c_pk
     return None
 
 
@@ -206,11 +207,25 @@ class NegativeBranchSearch:
 
 
 def _classify_root(x: float, m: float) -> tuple[bool, str]:
+    """Feasibility of the curve point (|c_m|^2 = x, m), with a reason for each failure.
+
+    Besides |c_m|^2 in [0, 1], m must be an integer >= 1 (below 1 the m-1
+    block is unphysical, the rule bell1_plan applies), and A(m-1) = A(m+1)
+    = -1 must hold at one gt: gt sqrt(2(2m-1)) and gt sqrt(2(2m+3)) odd
+    multiples of pi, so sqrt((2m+3)/(2m-1)) rational, which needs
+    (2m-1)(2m+3) to be a perfect square.
+    """
     problems = []
     if not 0.0 <= x <= 1.0:
         problems.append(f"|c_m|^2 = {x:.6f} outside [0, 1]")
-    if abs(m - round(m)) > 1e-6 or round(m) < 0:
-        problems.append(f"m = {m:.6f} is not a nonnegative integer")
+    k = round(m)
+    if abs(m - k) > 1e-6 or k < 1:
+        problems.append(f"m = {m:.6f} is not an integer >= 1 (the m-1 block is unphysical)")
+    else:
+        p = (2 * k - 1) * (2 * k + 3)
+        if math.isqrt(p) ** 2 != p:
+            problems.append(f"(2m-1)(2m+3) = {p} is not a perfect square, so "
+                            "A(m-1) = A(m+1) = -1 cannot hold at one gt")
     if problems:
         return False, "; ".join(problems)
     return True, "feasible"
@@ -223,8 +238,9 @@ def bell1_negative_branch_roots(ms=None) -> NegativeBranchSearch:
     zero identically), so their solutions form the curve
     |c_m|^2 = negative_branch_curve(m) rather than isolated roots. Each
     query m (default: the reference points' m values) yields the curve
-    point there, flagged infeasible when |c_m|^2 leaves [0, 1] or m is not
-    a nonnegative integer.
+    point there, flagged infeasible when |c_m|^2 leaves [0, 1], m is not an
+    integer >= 1, or A(m-1) = A(m+1) = -1 cannot hold at a single gt (see
+    _classify_root).
     """
     if ms is None:
         ms = [m for _, m in NEGATIVE_BRANCH_REFERENCE_SEEDS]
@@ -328,7 +344,8 @@ def werner_solve(target_vplus: float, target_w: float, gt_max: float = 2.2) -> W
     gt0 = arccos(u*) / sqrt(38) with u* = (90 w - 95 v_plus) / (90 w + 95 v_plus),
     and |c10|^2 follows from either target equation. gt0 and its
     reflection period - gt0 are extended over the period lattice up to
-    gt_max. Raises when no solution exists in the feasible box.
+    gt_max. Raises when no solution exists in the feasible box or no
+    solution time is <= gt_max.
     """
     tv, tw = float(target_vplus), float(target_w)
     if not (tv >= 0 and tw >= 0 and tv + 2.0 * tw <= 1.0 + 1e-12):
@@ -337,6 +354,8 @@ def werner_solve(target_vplus: float, target_w: float, gt_max: float = 2.2) -> W
         raise ValueError("gt_max must be finite")
 
     if tv == 0.0 and tw == 0.0:
+        if gt_max < 0.0:
+            raise ValueError(f"no solution time <= gt_max = {gt_max:g}; the first is 0")
         predicted = XStateElements(v_plus=0.0, v_minus=1.0, w=0.0,
                                    h_plus=0.0, h_minus=0.0, mu=0.0)
         return WernerPlan(c0_sq=1.0, c10_sq=0.0, times=(0.0,),
@@ -360,6 +379,9 @@ def werner_solve(target_vplus: float, target_w: float, gt_max: float = 2.2) -> W
         while base + shift * WERNER_PERIOD <= gt_max:
             times.add(round(base + shift * WERNER_PERIOD, 15))
             shift += 1
+    if not times:
+        raise ValueError(f"no solution time <= gt_max = {gt_max:g}; "
+                         f"the first is {min(gt0, WERNER_PERIOD - gt0):.6g}")
     times = tuple(sorted(times))
 
     vp, vm, w = werner_forward_elements(x, gt0)

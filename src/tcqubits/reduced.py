@@ -18,6 +18,10 @@ from .propagator import BASIS, JointState, abc
 
 DENSITY_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
+#: analytic_elements evaluates long time vectors in blocks of about this
+#: many (time, photon number) entries, 16 KiB per float64 temporary, so
+#: the kernel's transient memory stays small and each block stays in cache.
+BLOCK_ENTRIES = 2048
 
 #: Row/column positions that must vanish for an X-type matrix (the
 #: non-diagonal, non-anti-diagonal slots).
@@ -31,7 +35,8 @@ class XStateElements:
     v_plus and v_minus are the ee/gg populations, w = p fills the central
     block (equal for identical qubits), mu is the ee-gg coherence and
     h_plus/h_minus the first/last row coherences (zero for fields with
-    c_n c_{n+1} = 0).
+    c_n c_{n+1} = 0). Each entry is a scalar, or for a batch over T
+    times a length-T array.
     """
 
     v_plus: float
@@ -46,11 +51,14 @@ class XStateElements:
         return self.w
 
     def validate(self, tol: float = DENSITY_TOL) -> None:
-        if abs(self.v_plus + 2 * self.w + self.v_minus - 1.0) > tol:
+        """Unit trace and populations in [0, 1], on every row of a batch."""
+        pops = np.array((self.v_plus, self.v_minus, self.w))
+        if (abs(pops[0] + 2 * pops[2] + pops[1] - 1.0) > tol).any():
             raise ValueError("elements violate unit trace")
-        for name, val in (("v_plus", self.v_plus), ("v_minus", self.v_minus), ("w", self.w)):
-            if not -tol <= val <= 1.0 + tol:
-                raise ValueError(f"{name} = {val} outside [0, 1]")
+        if not (pops.min() >= -tol and pops.max() <= 1.0 + tol):  # NaN fails too
+            k = np.argwhere(~((-tol <= pops) & (pops <= 1.0 + tol)))[0]
+            name = ("v_plus", "v_minus", "w")[k[0]]
+            raise ValueError(f"{name} = {pops[tuple(k)]} outside [0, 1]")
 
     def to_json(self) -> dict:
         return {
@@ -64,43 +72,69 @@ class XStateElements:
         }
 
 
-def analytic_elements(field: FieldState, gt: float) -> XStateElements:
+def analytic_elements(field: FieldState, gt) -> XStateElements:
     """Closed-form reduced-matrix elements for initial |g>|g> (x) field.
 
     Finite sums over the truncated field support; the n = 0 terms that
     would probe the n - 1 trig argument carry an explicit factor of n and
-    are exactly zero.
+    are exactly zero. gt is a scalar (scalar elements) or a 1-D vector of
+    T times (length-T element arrays); a scalar runs as a batch of one.
     """
+    gts = np.asarray(gt, dtype=float)
+    if gts.ndim > 1:
+        raise ValueError("gt must be a scalar or a 1-D vector")
     c = field.amplitudes
-    dim = c.size
-    n = np.arange(dim, dtype=float)
-
-    A0, B0, C0 = abc(n, gt)
-    Ap, Bp, Cp = abc(n + 1, gt)
-    n_shift = np.where(n >= 1, n - 1, 0.0)
-    Am, _, Cm = abc(n_shift, gt)
-    # diagonal gg factor (1 + 2 n (A(n-1)-1)/C(n-1)); exactly 1 at n = 0
-    f_gg = np.where(n >= 1, 1.0 + 2.0 * (Am - 1.0) / Cm * n, 1.0)
-
-    cpad = np.concatenate([c, [0.0, 0.0]])
-    c1 = cpad[1:dim + 1]   # c_{n+1}
-    c2 = cpad[2:dim + 2]   # c_{n+2}
-
-    v_plus = float(np.sum(np.abs(c2) ** 2 * 4.0 * (n + 2) * (n + 1) * ((Ap - 1.0) / Cp) ** 2))
-    w = float(np.sum(np.abs(c1) ** 2 * (n + 1) * B0 ** 2 / C0))
-    h_plus = complex(np.sum(
-        c1 * np.conj(c2) * (-2j * (n + 1)) * np.sqrt(n + 2) * (B0 / np.sqrt(C0)) * (Ap - 1.0) / Cp
-    ))
-    h_minus = complex(np.sum(c * np.conj(c1) * (1j * np.sqrt(n + 1) * B0 / np.sqrt(C0)) * f_gg))
-    mu = complex(np.sum(c * np.conj(c2) * 2.0 * np.sqrt((n + 2) * (n + 1)) * (Ap - 1.0) / Cp * f_gg))
-    v_minus = float(np.sum(np.abs(c) ** 2 * f_gg ** 2))
-
+    times = gts.reshape(-1)
+    rows = max(1, BLOCK_ENTRIES // (c.size + 1))
+    blocks = [_element_sums(c, times[i:i + rows]) for i in range(0, max(times.size, 1), rows)]
+    sums = blocks[0] if len(blocks) == 1 else [np.concatenate(s) for s in zip(*blocks)]
+    v_plus, v_minus, w, h_plus, h_minus, mu = sums
+    if gts.ndim == 0:
+        return XStateElements(v_plus=float(v_plus[0]), v_minus=float(v_minus[0]), w=float(w[0]),
+                              h_plus=complex(h_plus[0]), h_minus=complex(h_minus[0]),
+                              mu=complex(mu[0]))
     return XStateElements(v_plus=v_plus, v_minus=v_minus, w=w,
                           h_plus=h_plus, h_minus=h_minus, mu=mu)
 
 
+def _element_sums(c: np.ndarray, times: np.ndarray):
+    """(v_plus, v_minus, w, h_plus, h_minus, mu), each of length T, for amplitudes c."""
+    dim = c.size
+    k = np.arange(dim + 1, dtype=float)
+    n, n1, n2 = k[:dim], k[1:], k[:dim] + 2
+
+    # trig blocks at photon numbers 0..dim, one row per time; the n + 1
+    # and n - 1 arguments are shifted columns (n - 1 clamped at n = 0).
+    # Every (T, dim) factor stays row-major so each row sums pairwise,
+    # exactly as a batch of one does.
+    A, B, C = abc(k, times[:, None])
+    B0, C0 = B[:, :dim], C[:dim]
+    Ap, Cp = A[:, 1:], C[1:]
+    Am = np.concatenate([A[:, :1], A[:, :dim - 1]], axis=1)
+    Cm = np.concatenate([C[:1], C[:dim - 1]])
+    # diagonal gg factor 1 + 2 n (A(n-1)-1)/C(n-1); exactly 1 at n = 0
+    f_gg = 1.0 + 2.0 * (Am - 1.0) / Cm * n
+    ap1 = Ap - 1.0
+    sqrt_c0 = np.sqrt(C0)
+
+    cpad = np.concatenate([c, [0.0, 0.0]])
+    c1 = cpad[1:dim + 1]   # c_{n+1}
+    c2 = cpad[2:dim + 2]   # c_{n+2}
+    c2_conj = np.conj(c2)
+    prob = np.abs(cpad) ** 2
+
+    # field-only prefactors times the (T, dim) time factors, summed over n
+    v_plus = np.sum(prob[2:] * 4.0 * n2 * n1 * (ap1 / Cp) ** 2, axis=-1)
+    w = np.sum(prob[1:dim + 1] * n1 * B0 ** 2 / C0, axis=-1)
+    h_plus = np.sum(c1 * c2_conj * (-2j * n1) * np.sqrt(n2) * (B0 / sqrt_c0) * ap1 / Cp, axis=-1)
+    h_minus = np.sum(c * np.conj(c1) * (1j * np.sqrt(n1) * B0 / sqrt_c0) * f_gg, axis=-1)
+    mu = np.sum(c * c2_conj * 2.0 * np.sqrt(n2 * n1) * ap1 / Cp * f_gg, axis=-1)
+    v_minus = np.sum(prob[:dim] * f_gg ** 2, axis=-1)
+    return v_plus, v_minus, w, h_plus, h_minus, mu
+
+
 def assemble_density(elems: XStateElements) -> np.ndarray:
-    """4x4 density matrix from the element set.
+    """4x4 density matrix from the element set, or a (T, 4, 4) stack from a batch.
 
     Layout: v_plus at (ee,ee), conj(h_plus) along the first row, conj(mu)
     at the (ee,gg) corner, w = p filling the central block, h_minus along
@@ -108,12 +142,15 @@ def assemble_density(elems: XStateElements) -> np.ndarray:
     """
     elems.validate()
     hp, hm, mu, w = elems.h_plus, elems.h_minus, elems.mu, elems.w
-    return np.array([
-        [elems.v_plus, np.conj(hp), np.conj(hp), np.conj(mu)],
-        [hp, w, w, np.conj(hm)],
-        [hp, w, w, np.conj(hm)],
-        [mu, hm, hm, elems.v_minus],
+    hp_c, hm_c = hp.conjugate(), hm.conjugate()
+    # the 16 entries in row-major order, each a scalar or a length-T row
+    entries = np.array([
+        elems.v_plus, hp_c, hp_c, mu.conjugate(),
+        hp, w, w, hm_c,
+        hp, w, w, hm_c,
+        mu, hm, hm, elems.v_minus,
     ], dtype=complex)
+    return entries.T.reshape(np.shape(elems.v_plus) + (4, 4))
 
 
 def partial_trace(state: JointState) -> np.ndarray:

@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from tcqubits.cli import main, parse_phase
+from tcqubits import (analytic_elements, assemble_density, concurrence, density_to_json,
+                      fidelity, target)
+from tcqubits.cli import SCAN_CHUNK, build_field, main, parse_phase
 
 
 def run_cli(args, capsys):
@@ -80,6 +83,40 @@ def test_scan_full_precision_and_determinism(capsys):
     w_text = out1.splitlines()[2].split(",")[3]
     assert float(w_text) == rows[1]["w"]
     assert len(w_text.replace("-", "").replace(".", "").lstrip("0")) >= 15
+
+
+def test_scan_rows_across_chunks_match_scalar_calls(capsys):
+    # more rows than one batched chunk: every row equals its scalar evaluation
+    steps = SCAN_CHUNK + 3
+    code, out, _ = run_cli(["scan", "--field", "0:1,0;1:0.5,0.5;3:0,1", "--dim", "8",
+                            "--gt-max", "6", "--steps", str(steps),
+                            "--outputs", "elements,concurrence,fidelity", "--target", "bell2"],
+                           capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == steps + 1
+    fld, _ = build_field("0:1,0;1:0.5,0.5;3:0,1", 8)
+    for gt, line in zip(np.linspace(0.0, 6.0, steps), lines[1:]):
+        e = analytic_elements(fld, float(gt))
+        rho = assemble_density(e)
+        values = [gt, e.v_plus, e.v_minus, e.w, e.mu.real, e.mu.imag, e.h_plus.real,
+                  e.h_plus.imag, e.h_minus.real, e.h_minus.imag,
+                  concurrence(rho), fidelity(rho, target("bell2"))]
+        assert line == ",".join(f"{v:.17g}" for v in values)
+
+
+def test_scan_json_rows_across_chunks_match_scalar_calls(capsys):
+    steps = SCAN_CHUNK + 3
+    code, out, _ = run_cli(["scan", "--field", "0:1,0;1:0.5,0.5;3:0,1", "--dim", "8",
+                            "--gt-max", "6", "--steps", str(steps), "--format", "json",
+                            "--outputs", "concurrence,density"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    fld, _ = build_field("0:1,0;1:0.5,0.5;3:0,1", 8)
+    assert len(rows) == steps
+    for gt, row in zip(np.linspace(0.0, 6.0, steps), rows):
+        rho = assemble_density(analytic_elements(fld, float(gt)))
+        assert row == {"gt": gt, "concurrence": concurrence(rho), "density": density_to_json(rho)}
 
 
 def test_scan_canonical_header_with_fidelity(capsys):
@@ -216,6 +253,14 @@ def test_plan_werner_infinite_gt_max_exits_2(capsys):
     code, _, err = run_cli(["plan", "werner", "--gt-max", "inf"], capsys)
     assert code == 2
     assert "gt_max must be finite" in err
+
+
+def test_plan_werner_gt_max_below_first_time_exits_2(capsys):
+    code, out, err = run_cli(["plan", "werner", "--gt-max", "0.1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no solution time <= gt_max = 0.1")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_validate_small_run(capsys):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from tcqubits import (bell1_vector, bell2_vector, concurrence, concurrence_x_state, eof,
-                      fidelity, singlet_vector, target, werner_eta_from_k)
+from tcqubits import (analytic_elements, assemble_density, bell1_vector, bell2_vector,
+                      concurrence, concurrence_x_state, eof, fidelity, is_x_type,
+                      singlet_vector, superpose, target, werner_eta_from_k)
 
 RNG = np.random.default_rng(55)
 
@@ -158,3 +160,65 @@ def test_fidelity_pure_target_reduction():
 def test_fidelity_symmetric():
     a, b = random_density(), random_density()
     assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-10)
+
+
+# --- batched measures -------------------------------------------------------
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def density_stack(seed, size):
+    """size random densities, dense and X-type mixed, as a (size, 4, 4) stack."""
+    rng = np.random.default_rng(seed)
+    return np.array([random_x_density(rng) if rng.random() < 0.5 else random_density(rng)
+                     for _ in range(size)])
+
+
+@given(seeds, st.integers(1, 8), st.sampled_from([None, "bell1", "bell2", "werner", "mixed"]))
+def test_batched_measures_match_per_matrix_calls(seed, size, sigma_kind):
+    rhos = density_stack(seed, size)
+    if sigma_kind is None:
+        sigma = rhos[0]
+    elif sigma_kind == "mixed":
+        sigma = density_stack(seed + 1, 1)[0]
+    else:
+        sigma = target(sigma_kind, phi=0.4, eta=0.7)
+    conc = concurrence(rhos)
+    fid = fidelity(rhos, sigma)
+    assert conc.shape == fid.shape == (size,)
+    for i, rho in enumerate(rhos):
+        assert abs(conc[i] - concurrence(rho)) <= 1e-12
+        assert abs(fid[i] - fidelity(rho, sigma)) <= 1e-12
+        assert isinstance(concurrence(rho), float) and isinstance(fidelity(rho, sigma), float)
+        assert 0.0 <= conc[i] <= 1.0 and 0.0 <= fid[i] <= 1.0
+
+
+@given(st.lists(st.integers(0, 11), min_size=1, max_size=4, unique=True), seeds,
+       st.lists(st.one_of(st.just(0.0), st.floats(0.0, 12.0)), min_size=1, max_size=9))
+def test_batched_concurrence_matches_x_state_closed_form(half_levels, seed, gts):
+    # Even levels only: c_n c_{n+1} = 0, so every row is X-type. These rows
+    # are often rank deficient, where each of the three small Wootters
+    # eigenvalues of the eigen route carries up to sqrt(eps) ~ 1.5e-8 of
+    # round-off (1.0e-8 seen over 27,000 random rows), hence 3 sqrt(eps).
+    rng = np.random.default_rng(seed)
+    fld = superpose([(2 * k, complex(*rng.normal(size=2))) for k in half_levels], dim=28)
+    rhos = assemble_density(analytic_elements(fld, np.array(gts)))
+    conc = concurrence(rhos)
+    for i, rho in enumerate(rhos):
+        assert is_x_type(rho)
+        assert abs(conc[i] - concurrence_x_state(rho)) <= 5e-8
+
+
+def test_one_non_hermitian_matrix_fails_the_whole_batch():
+    rhos = density_stack(7, 3)
+    rhos[1, 0, 1] += 0.4
+    with pytest.raises(ValueError, match="Hermitian"):
+        concurrence(rhos)
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 2, 4, 4)])
+def test_measures_reject_non_density_shapes(shape):
+    with pytest.raises(ValueError, match="4x4"):
+        concurrence(np.zeros(shape))
+    with pytest.raises(ValueError, match="4x4"):
+        fidelity(np.zeros(shape), target("bell2"))

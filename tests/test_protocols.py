@@ -171,6 +171,19 @@ def test_negative_branch_roots_solve_conditions():
                for r in search.roots)
 
 
+def test_negative_branch_low_m_is_infeasible():
+    # m = 0: |c_m|^2 = 0.4375 lies in [0, 1] but the m-1 block is unphysical;
+    # m = 1: (2m-1)(2m+3) = 5, so A(m-1) = A(m+1) = -1 never hold together
+    low, one = bell1_negative_branch_roots([0, 1]).roots
+    assert not low.feasible and "m-1 block" in low.reason
+    assert not one.feasible and "perfect square" in one.reason
+
+
+def test_negative_branch_never_feasible_at_integer_m():
+    # (2m-1)(2m+3) = (2m+1)^2 - 4 lies strictly between two squares for m >= 1
+    assert not any(r.feasible for r in bell1_negative_branch_roots(range(200)).roots)
+
+
 # --- second-class Bell plan -------------------------------------------------
 
 def test_bell2_time():
@@ -256,6 +269,12 @@ def test_werner_solve_infeasible_box():
     # consistent on the circle but demands |c10|^2 > 1
     with pytest.raises(ValueError, match="feasible"):
         werner_solve(0.5, 0.25)
+
+
+@pytest.mark.parametrize("targets, gt_max", [((1 / 3, 1 / 6), 0.1), ((0.0, 0.0), -0.5)])
+def test_werner_solve_rejects_gt_max_below_first_time(targets, gt_max):
+    with pytest.raises(ValueError, match="no solution time"):
+        werner_solve(*targets, gt_max=gt_max)
 
 
 def test_werner_solve_rejects_inconsistent_targets():

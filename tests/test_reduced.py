@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from tcqubits import (JointState, XStateElements, analytic_elements, apply_propagator,
                       assemble_density, check_density, coherent_state, density_from_json,
                       density_to_json, is_x_type, number_state, partial_trace, superpose)
+from tcqubits.reduced import BLOCK_ENTRIES
 
 RNG = np.random.default_rng(918273)
 
@@ -179,3 +181,75 @@ def test_density_json_roundtrip():
     data = density_to_json(rho)
     assert data["basis"] == ["ee", "eg", "ge", "gg"]
     assert np.allclose(density_from_json(data), rho, atol=0)
+
+
+# --- batched kernel ---------------------------------------------------------
+
+ELEMENT_NAMES = ("v_plus", "v_minus", "w", "h_plus", "h_minus", "mu")
+_parts = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def fields(draw):
+    """Random fields with sparse (a few levels) or dense (a prefix of levels) support."""
+    dim = draw(st.integers(4, 40))
+    if draw(st.booleans()):
+        levels = draw(st.lists(st.integers(0, dim - 3), min_size=1, max_size=4, unique=True))
+    else:
+        levels = range(draw(st.integers(1, dim - 2)))
+    amps = [complex(draw(_parts), draw(_parts)) for _ in levels]
+    assume(np.linalg.norm(amps) > 1e-3)
+    return superpose(list(zip(levels, amps)), dim)
+
+
+gt_vectors = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 12.0)), min_size=1, max_size=9)
+
+
+@given(fields(), gt_vectors)
+def test_batched_elements_and_density_match_scalar_calls(f, gts):
+    batch = analytic_elements(f, np.array(gts))
+    rhos = assemble_density(batch)
+    assert rhos.shape == (len(gts), 4, 4)
+    for i, gt in enumerate(gts):
+        e = analytic_elements(f, gt)
+        assert isinstance(e.v_plus, float) and isinstance(e.mu, complex)
+        for name in ELEMENT_NAMES:
+            assert abs(getattr(batch, name)[i] - getattr(e, name)) <= 1e-15
+        rho = assemble_density(e)
+        assert rho.shape == (4, 4)
+        assert np.max(np.abs(rhos[i] - rho)) <= 1e-15
+
+
+def test_long_batch_spans_blocks_and_matches_scalar_calls():
+    f = coherent_state(2.5, 64, parity="even")
+    gts = np.linspace(0.0, 9.0, 3 * (BLOCK_ENTRIES // 65) + 5)  # four blocks at dim 64
+    rhos = assemble_density(analytic_elements(f, gts))
+    assert all(np.array_equal(rhos[i], analytic_rho(f, gt)) for i, gt in enumerate(gts))
+
+
+@given(fields(), gt_vectors, st.data())
+def test_nan_gt_anywhere_is_rejected(f, gts, data):
+    gts.insert(data.draw(st.integers(0, len(gts))), math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        analytic_elements(f, np.array(gts))
+
+
+def test_elements_reject_a_matrix_of_times():
+    with pytest.raises(ValueError, match="1-D"):
+        analytic_elements(number_state(1, 8), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    (dict(v_plus=0.6, v_minus=0.6, w=0.1), "unit trace"),
+    (dict(v_plus=1.2, v_minus=-0.2, w=0.0), "outside"),
+])
+def test_one_bad_row_fails_the_whole_batch(bad_row, message):
+    good = dict(v_plus=0.25, v_minus=0.25, w=0.25)
+    rows = [good, bad_row, good]
+    elems = XStateElements(**{k: np.array([r[k] for r in rows]) for k in good},
+                           h_plus=np.zeros(3, complex), h_minus=np.zeros(3, complex),
+                           mu=np.zeros(3, complex))
+    with pytest.raises(ValueError, match=message):
+        elems.validate()
+    with pytest.raises(ValueError, match=message):
+        assemble_density(elems)
