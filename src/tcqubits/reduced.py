@@ -156,10 +156,11 @@ def assemble_density(elems: XStateElements) -> np.ndarray:
 def partial_trace(state: JointState) -> np.ndarray:
     """Reduced qubit-pair matrix: rho[a, b] = sum_n branch_a(n) conj(branch_b(n)).
 
-    Works for any initial qubit state, unlike the analytic route.
+    Works for any initial qubit state, unlike the analytic route. A
+    (T, 4, dim) stack of states gives a (T, 4, 4) stack of matrices.
     """
     br = state.branches
-    return br @ br.conj().T
+    return br @ br.conj().swapaxes(-1, -2)
 
 
 def is_x_type(rho: np.ndarray, tol: float = 1e-12) -> bool:

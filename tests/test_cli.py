@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,3 +301,31 @@ def test_scan_writes_file(tmp_path, capsys):
     assert header[0] == "gt" and len(rows) == 3
     # the vacuum never entangles
     assert all(r["v_minus"] == pytest.approx(1.0, abs=1e-12) for r in rows)
+
+
+def test_validate_dim_2048_in_process(capsys):
+    # the per-manifold oracle keeps this small; a dense one needs an 8192^2 matrix
+    code, out, _ = run_cli(["validate", "--dim", "2048", "--trials", "1"], capsys)
+    assert code == 0
+    assert "PASS" in out
+
+
+def test_repeated_calls_print_what_a_fresh_process_prints(capsys):
+    # main reuses one parser; a default or value left over from an earlier
+    # call must not change a later one
+    calls = [
+        ["plan", "bell1", "--m", "12", "--phi", "pi", "--dim", "40", "--tol", "0.5"],
+        ["scan", "--field", "single-photon", "--gt-max", "3", "--steps", "4",
+         "--outputs", "concurrence", "--dim", "8"],
+        ["validate", "--dim", "40", "--trials", "1", "--tol", "1e-20"],
+        ["plan", "bell1", "--m", "8"],
+        ["scan", "--field", "vacuum", "--gt-max", "1", "--steps", "3"],
+        ["validate", "--dim", "40", "--trials", "1"],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in calls:
+        code, out, _ = run_cli(argv, capsys)
+        fresh = subprocess.run([sys.executable, "-m", "tcqubits", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv

@@ -7,7 +7,7 @@ from tcqubits import (JointState, analytic_elements, apply_propagator, assemble_
                       bell1_conditions_residual, bell1_negative_branch_roots, bell1_plan,
                       bell1_purity_factor, bell1_time, bell2_plan, concurrence, fidelity,
                       first_concurrence_peak, partial_trace, singlet_vector, superpose,
-                      verify_plan, werner_forward_elements, werner_solve)
+                      target, verify_plan, werner_forward_elements, werner_solve)
 from tcqubits.protocols import (NEGATIVE_BRANCH_REFERENCE_SEEDS, WERNER_PERIOD,
                                 golden_section_max, negative_branch_curve,
                                 negative_branch_residuals)
@@ -298,6 +298,23 @@ def test_verify_werner():
     assert report.passed
     assert report.max_element_dev <= 1e-9  # solver output is far inside the 2e-3 gate
     assert len(report.per_time) == len(report.gt_values)
+
+
+@pytest.mark.parametrize("targets", [(1 / 3, 1 / 6), (0.2, 0.1), (0.4, 0.05)])
+def test_verify_werner_rows_equal_scalar_pipeline_calls(targets):
+    # verify_plan evaluates every time in one batch; each row must be what
+    # the per-time route gives
+    plan = werner_solve(*targets, gt_max=12.0)
+    report = verify_plan(plan)
+    tgt = target("werner", eta=1.0)
+    joint = JointState.from_field(plan.field(), "gg")
+    assert [row[0] for row in report.per_time] == list(plan.times)
+    for t, dev, fid, conc in report.per_time:
+        rho = partial_trace(apply_propagator(joint, t))
+        assert (dev, fid, conc) == (float(np.max(np.abs(rho - tgt.matrix))),
+                                    fidelity(rho, tgt), concurrence(rho))
+    assert report.max_element_dev == max(row[1] for row in report.per_time)
+    assert (report.fidelity, report.concurrence) == report.per_time[-1][2:]
 
 
 def test_werner_plan_json():
