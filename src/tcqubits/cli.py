@@ -260,7 +260,9 @@ def cmd_validate(dim: int, trials: int, seed: int, tol: float, out) -> int:
     return 0 if passed else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="tcqubits",
         description="Two-qubit resonant cavity dynamics and Bell/Werner preparation planner")
@@ -310,14 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args keeps no state between calls."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     def run(out) -> int:
         if getattr(args, "tol", None) is not None and not math.isfinite(args.tol):

@@ -23,6 +23,12 @@ NORM_TOL = 1e-12
 HEADROOM_TOL = 1e-12
 
 
+def _json_complex(values):
+    """JSON form of a complex scalar or array: [re, im], nested like the array."""
+    arr = np.asarray(values, dtype=complex)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+
 @dataclass(frozen=True)
 class FieldState:
     """Immutable field state: amplitudes[n] is the coefficient of |n>."""
@@ -43,9 +49,6 @@ class FieldState:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def has_headroom(self, tol: float = HEADROOM_TOL) -> bool:
         """True if the top two levels carry no amplitude beyond tol."""
         if self.dim < 3:
@@ -53,17 +56,7 @@ class FieldState:
         return bool(np.max(np.abs(self.amplitudes[-2:])) <= tol)
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "amplitudes": [[float(c.real), float(c.imag)] for c in self.amplitudes],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FieldState":
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        if len(amps) != data["dim"]:
-            raise ValueError("dim does not match amplitude count")
-        return cls(amps)
+        return {"dim": self.dim, "amplitudes": _json_complex(self.amplitudes)}
 
 
 def number_state(n: int, dim: int) -> FieldState:

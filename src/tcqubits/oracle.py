@@ -51,12 +51,6 @@ def build_hamiltonian(dim: int) -> np.ndarray:
     return lower + lower.T
 
 
-def excitation_operator(dim: int) -> np.ndarray:
-    """Diagonal operator counting photons plus excited qubits."""
-    n = np.arange(dim, dtype=float)
-    return np.diag(np.concatenate([QUBIT_EXC[k] + n for k in range(4)]))
-
-
 def _manifold_blocks(dim: int) -> np.ndarray:
     """The Hamiltonian as a (dim + 2, 4, 4) stack: block N acts on manifold N (g = 1).
 
@@ -122,14 +116,6 @@ class PathComparison:
     density_argmax: tuple
     max_joint_dev: float
     gt: float
-
-    def to_json(self) -> dict:
-        return {
-            "max_density_dev": np.asarray(self.max_density_dev).tolist(),
-            "density_argmax": list(self.density_argmax),
-            "max_joint_dev": np.asarray(self.max_joint_dev).tolist(),
-            "gt": np.asarray(self.gt).tolist(),
-        }
 
 
 def compare_paths(field: FieldState, gt) -> PathComparison:

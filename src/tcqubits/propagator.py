@@ -182,19 +182,3 @@ def apply_propagator(state: JointState, gt) -> JointState:
     """
     return evolve_with(_apply_raw, state, gt)
 
-
-def propagator_matrix(dim: int, gt: float) -> np.ndarray:
-    """Dense evolution matrix on the 4*dim joint space (basis label-major).
-
-    Column ordering matches flattened JointState branches. Unitary only on
-    the headroom-respecting subspace n < dim-2; the top columns feel the
-    truncation.
-    """
-    if dim < 3:
-        raise ValueError("dim must be >= 3")
-    mat = np.zeros((4 * dim, 4 * dim), dtype=complex)
-    for col in range(4 * dim):
-        basis = np.zeros((4, dim), dtype=complex)
-        basis[col // dim, col % dim] = 1.0
-        mat[:, col] = _apply_raw(basis, np.array([gt]))[0].reshape(-1)
-    return mat

@@ -7,15 +7,17 @@ Three protocols are planned and checked end to end:
 * bell2 -- drive |gg> to (|eg> + |ge>)/sqrt(2) with the single-photon field.
 * werner -- drive |gg> to the eta = 1 Werner mixture with a |0>, |10> field.
 
-Each planner returns the recipe plus predicted end-state elements;
-verify_plan runs the full pipeline (field -> propagate -> reduce ->
-compare) and reports deviations, fidelity and concurrence.
+Each planner returns the recipe plus predicted end-state elements. Each
+plan's verify method runs the full pipeline (field -> propagate -> reduce
+-> compare) and reports deviations, fidelity and concurrence against its
+own default tolerance; verify_plan is the entry point that calls it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,8 +27,6 @@ from .propagator import JointState, abc, apply_propagator
 from .reduced import XStateElements, analytic_elements, assemble_density, partial_trace
 
 WERNER_PERIOD = 2.0 * math.pi / math.sqrt(38.0)
-
-DEFAULT_TOLERANCES = {"bell1": 1e-3, "bell2": 1e-9, "werner": 2e-3}
 
 
 # ---------------------------------------------------------------------------
@@ -68,14 +68,36 @@ class Bell1Plan:
     purity_factor: float
     predicted: XStateElements
 
+    #: passes on fidelity >= 1 - tolerance: the preparation is approximate at finite m
+    TOLERANCE: ClassVar[float] = 1e-3
+
     def to_json(self) -> dict:
-        return {
-            "protocol": "bell1",
-            "params": {"m": self.m, "phi": self.phi, "purity_factor": self.purity_factor},
-            "field": self.field.to_json(),
-            "gt": [self.gt1],
-            "predicted": self.predicted.to_json(),
-        }
+        params = {"m": self.m, "phi": self.phi, "purity_factor": self.purity_factor}
+        return _plan_json("bell1", params, self.field, [self.gt1], self.predicted)
+
+    def verify(self, tolerance: float | None = None) -> VerificationReport:
+        """Refine gt1 to the concurrence peak nearby, then compare with the Bell state there.
+
+        Concurrence maxima lie pi / (2 sqrt(4m + 6)) apart, so the golden
+        section bracket is at most half that spacing on each side of gt1
+        and cannot reach a side peak at large m.
+        """
+        tol = self.TOLERANCE if tolerance is None else tolerance
+        tgt = target("bell1", phi=self.phi)
+
+        def conc_at(t):
+            return concurrence(assemble_density(analytic_elements(self.field, t)))
+
+        half = min(0.1, math.pi / (4.0 * math.sqrt(4.0 * self.m + 6.0)))
+        gt_peak, _ = golden_section_max(conc_at, self.gt1 - half, self.gt1 + half)
+        rho, rho1 = _pipeline_density(self.field, np.array([gt_peak, self.gt1]))
+        fid = fidelity(rho, tgt)
+        return VerificationReport(
+            protocol="bell1", gt_values=(self.gt1,),
+            max_element_dev=float(np.max(np.abs(rho - tgt.matrix))),
+            fidelity=fid, concurrence=concurrence(rho), tolerance=tol,
+            passed=bool(fid >= 1.0 - tol), gt_peak=gt_peak,
+            prediction_dev=float(np.max(np.abs(rho1 - assemble_density(self.predicted)))))
 
 
 def bell1_time(m: int) -> float:
@@ -201,11 +223,6 @@ class NegativeBranchRoot:
     reason: str
 
 
-@dataclass(frozen=True)
-class NegativeBranchSearch:
-    roots: tuple
-
-
 def _classify_root(x: float, m: float) -> tuple[bool, str]:
     """Feasibility of the curve point (|c_m|^2 = x, m), with a reason for each failure.
 
@@ -231,7 +248,7 @@ def _classify_root(x: float, m: float) -> tuple[bool, str]:
     return True, "feasible"
 
 
-def bell1_negative_branch_roots(ms=None) -> NegativeBranchSearch:
+def bell1_negative_branch_roots(ms=None) -> tuple[NegativeBranchRoot, ...]:
     """Points of the sign-flipped branch's solution curve at the query m values.
 
     The half-half conditions are rank-deficient (their two residuals sum to
@@ -248,7 +265,7 @@ def bell1_negative_branch_roots(ms=None) -> NegativeBranchSearch:
     for m in map(float, ms):
         x = negative_branch_curve(m)
         roots.append(NegativeBranchRoot(x, m, *_classify_root(x, m)))
-    return NegativeBranchSearch(roots=tuple(roots))
+    return tuple(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +283,26 @@ class Bell2Plan:
 
     l: int
     gt2: float
-    predicted_w: float
     field: FieldState
     predicted: XStateElements
     unique_m: int = 1
 
+    #: passes on max element deviation from the Bell state: the preparation is exact
+    TOLERANCE: ClassVar[float] = 1e-9
+
     def to_json(self) -> dict:
-        return {
-            "protocol": "bell2",
-            "params": {"l": self.l, "unique_m": self.unique_m},
-            "field": self.field.to_json(),
-            "gt": [self.gt2],
-            "predicted": self.predicted.to_json(),
-        }
+        params = {"l": self.l, "unique_m": self.unique_m}
+        return _plan_json("bell2", params, self.field, [self.gt2], self.predicted)
+
+    def verify(self, tolerance: float | None = None) -> VerificationReport:
+        tol = self.TOLERANCE if tolerance is None else tolerance
+        tgt = target("bell2")
+        rho = _pipeline_density(self.field, self.gt2)
+        dev = float(np.max(np.abs(rho - tgt.matrix)))
+        return VerificationReport(
+            protocol="bell2", gt_values=(self.gt2,), max_element_dev=dev,
+            fidelity=fidelity(rho, tgt), concurrence=concurrence(rho),
+            tolerance=tol, passed=bool(dev <= tol))
 
 
 def bell2_plan(l: int, dim: int = 8) -> Bell2Plan:
@@ -288,8 +312,7 @@ def bell2_plan(l: int, dim: int = 8) -> Bell2Plan:
     gt2 = l * math.pi / (2.0 * math.sqrt(2.0))
     predicted = XStateElements(v_plus=0.0, v_minus=0.0, w=0.5,
                                h_plus=0.0, h_minus=0.0, mu=0.0)
-    return Bell2Plan(l=l, gt2=gt2, predicted_w=0.5,
-                     field=number_state(1, dim), predicted=predicted)
+    return Bell2Plan(l=l, gt2=gt2, field=number_state(1, dim), predicted=predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +334,27 @@ class WernerPlan:
         return superpose([(0, math.sqrt(self.c0_sq)), (10, math.sqrt(self.c10_sq))],
                          dim, normalize=True)
 
+    #: passes on the worst max element deviation over the solution times
+    TOLERANCE: ClassVar[float] = 2e-3
+
     def to_json(self) -> dict:
-        return {
-            "protocol": "werner",
-            "params": {
-                "c0_sq": self.c0_sq,
-                "c10_sq": self.c10_sq,
-                "period": self.period,
-                "degenerate": self.degenerate,
-            },
-            "field": self.field().to_json(),
-            "gt": list(self.times),
-            "predicted": self.predicted.to_json(),
-        }
+        params = {"c0_sq": self.c0_sq, "c10_sq": self.c10_sq, "period": self.period,
+                  "degenerate": self.degenerate}
+        return _plan_json("werner", params, self.field(), self.times, self.predicted)
+
+    def verify(self, tolerance: float | None = None) -> VerificationReport:
+        """Compare every solution time with the eta = 1 Werner matrix."""
+        tol = self.TOLERANCE if tolerance is None else tolerance
+        tgt = target("werner", eta=1.0)
+        rho = _pipeline_density(self.field(), np.array(self.times))
+        devs = np.max(np.abs(rho - tgt.matrix), axis=(-2, -1)).tolist()
+        fids = fidelity(rho, tgt).tolist()
+        concs = concurrence(rho).tolist()
+        worst = max(devs)
+        return VerificationReport(
+            protocol="werner", gt_values=tuple(self.times), max_element_dev=worst,
+            fidelity=fids[-1], concurrence=concs[-1], tolerance=tol,
+            passed=bool(worst <= tol), per_time=tuple(zip(self.times, devs, fids, concs)))
 
 
 def werner_forward_elements(c10_sq: float, gt: float):
@@ -392,7 +423,7 @@ def werner_solve(target_vplus: float, target_w: float, gt_max: float = 2.2) -> W
 
 
 # ---------------------------------------------------------------------------
-# end-to-end verification
+# plan JSON and end-to-end verification
 
 
 @dataclass(frozen=True)
@@ -433,52 +464,15 @@ def _pipeline_density(fld: FieldState, gt) -> np.ndarray:
     return partial_trace(apply_propagator(joint, gt))
 
 
+def _plan_json(protocol: str, params: dict, fld: FieldState, gt,
+               predicted: XStateElements) -> dict:
+    return {"protocol": protocol, "params": params, "field": fld.to_json(),
+            "gt": list(gt), "predicted": predicted.to_json()}
+
+
 def verify_plan(plan, tolerance: float | None = None) -> VerificationReport:
     """Run a plan's full pipeline and compare against its ideal target.
 
-    bell1 passes on fidelity (1 - tol, default 1e-3: the preparation is
-    approximate at finite m); bell2 and werner pass on max element
-    deviation (defaults 1e-9 and 2e-3).
+    Delegates to plan.verify; tolerance None means the plan class's TOLERANCE.
     """
-    if isinstance(plan, Bell1Plan):
-        tol = DEFAULT_TOLERANCES["bell1"] if tolerance is None else tolerance
-        tgt = target("bell1", phi=plan.phi)
-        # the planned time is an approximation; refine to the true peak nearby
-        def conc_at(t):
-            return concurrence(assemble_density(analytic_elements(plan.field, t)))
-        gt_peak, _ = golden_section_max(conc_at, plan.gt1 - 0.1, plan.gt1 + 0.1)
-        rho = _pipeline_density(plan.field, gt_peak)
-        fid = fidelity(rho, tgt)
-        conc = concurrence(rho)
-        dev = float(np.max(np.abs(rho - tgt.matrix)))
-        pred_dev = float(np.max(np.abs(
-            _pipeline_density(plan.field, plan.gt1) - assemble_density(plan.predicted))))
-        return VerificationReport(
-            protocol="bell1", gt_values=(plan.gt1,), max_element_dev=dev,
-            fidelity=fid, concurrence=conc, tolerance=tol,
-            passed=bool(fid >= 1.0 - tol), gt_peak=gt_peak, prediction_dev=pred_dev)
-
-    if isinstance(plan, Bell2Plan):
-        tol = DEFAULT_TOLERANCES["bell2"] if tolerance is None else tolerance
-        tgt = target("bell2")
-        rho = _pipeline_density(plan.field, plan.gt2)
-        dev = float(np.max(np.abs(rho - tgt.matrix)))
-        return VerificationReport(
-            protocol="bell2", gt_values=(plan.gt2,), max_element_dev=dev,
-            fidelity=fidelity(rho, tgt), concurrence=concurrence(rho),
-            tolerance=tol, passed=bool(dev <= tol))
-
-    if isinstance(plan, WernerPlan):
-        tol = DEFAULT_TOLERANCES["werner"] if tolerance is None else tolerance
-        tgt = target("werner", eta=1.0)
-        rho = _pipeline_density(plan.field(), np.array(plan.times))
-        devs = np.max(np.abs(rho - tgt.matrix), axis=(-2, -1)).tolist()
-        fids = fidelity(rho, tgt).tolist()
-        concs = concurrence(rho).tolist()
-        worst = max(devs)
-        return VerificationReport(
-            protocol="werner", gt_values=tuple(plan.times), max_element_dev=worst,
-            fidelity=fids[-1], concurrence=concs[-1], tolerance=tol,
-            passed=bool(worst <= tol), per_time=tuple(zip(plan.times, devs, fids, concs)))
-
-    raise TypeError(f"unknown plan type {type(plan).__name__}")
+    return plan.verify(tolerance)

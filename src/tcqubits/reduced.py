@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FieldState
+from .fock import FieldState, _json_complex
 from .propagator import BASIS, JointState, abc
 
 DENSITY_TOL = 1e-10
@@ -55,8 +55,9 @@ class XStateElements:
         pops = np.array((self.v_plus, self.v_minus, self.w))
         if (abs(pops[0] + 2 * pops[2] + pops[1] - 1.0) > tol).any():
             raise ValueError("elements violate unit trace")
-        if not (pops.min() >= -tol and pops.max() <= 1.0 + tol):  # NaN fails too
-            k = np.argwhere(~((-tol <= pops) & (pops <= 1.0 + tol)))[0]
+        outside = ~((-tol <= pops) & (pops <= 1.0 + tol))  # NaN is outside too
+        if outside.any():
+            k = np.argwhere(outside)[0]
             name = ("v_plus", "v_minus", "w")[k[0]]
             raise ValueError(f"{name} = {pops[tuple(k)]} outside [0, 1]")
 
@@ -66,9 +67,9 @@ class XStateElements:
             "v_minus": self.v_minus,
             "w": self.w,
             "p": self.p,
-            "h_plus": [self.h_plus.real, self.h_plus.imag],
-            "h_minus": [self.h_minus.real, self.h_minus.imag],
-            "mu": [self.mu.real, self.mu.imag],
+            "h_plus": _json_complex(self.h_plus),
+            "h_minus": _json_complex(self.h_minus),
+            "mu": _json_complex(self.mu),
         }
 
 
@@ -183,14 +184,4 @@ def check_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> None:
 
 
 def density_to_json(rho: np.ndarray) -> dict:
-    rho = np.asarray(rho, dtype=complex)
-    return {
-        "basis": list(BASIS),
-        "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in rho],
-    }
-
-
-def density_from_json(data: dict) -> np.ndarray:
-    if list(data["basis"]) != list(BASIS):
-        raise ValueError(f"unexpected basis order {data['basis']}")
-    return np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
+    return {"basis": list(BASIS), "matrix": _json_complex(rho)}

@@ -129,9 +129,9 @@ def test_criterion_5_werner():
 
 
 def test_criterion_6_negative_branch():
-    search = bell1_negative_branch_roots()
+    roots = bell1_negative_branch_roots()
     for x_ref, m_ref in NEGATIVE_BRANCH_REFERENCE_SEEDS:
-        matches = [r for r in search.roots
+        matches = [r for r in roots
                    if abs(r.c_m_sq - x_ref) <= 1e-4 and abs(r.m - m_ref) <= 1e-4]
         assert matches, f"pair ({x_ref}, {m_ref}) not reproduced"
         assert all(not r.feasible for r in matches), f"pair ({x_ref}, {m_ref}) wrongly feasible"

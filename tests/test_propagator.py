@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from tcqubits import (BASIS, HeadroomError, JointState, abc, apply_propagator, number_state,
-                      propagator_matrix, superpose)
+from tcqubits import (BASIS, HeadroomError, JointState, abc, apply_propagator,
+                      build_hamiltonian, number_state, superpose)
 from tcqubits.propagator import EE, EG, GE, GG
 
 RNG = np.random.default_rng(20240803)
@@ -59,21 +60,39 @@ def test_gg_column_action_matches_matrix():
     state = JointState.from_field(fld, "gg")
     gt = 1.234
     out = apply_propagator(state, gt)
-    mat = propagator_matrix(8, gt)
+    # dense exp(-i gt H); the support stops at n = 3, so n + 2 stays inside the truncation
+    evals, evecs = np.linalg.eigh(build_hamiltonian(8))
+    mat = (evecs * np.exp(-1j * gt * evals)) @ evecs.T
     expected = (mat @ state.branches.reshape(-1)).reshape(4, 8)
     assert np.allclose(out.branches, expected, atol=1e-14)
 
 
-def test_propagator_matrix_identity_at_zero():
-    assert np.allclose(propagator_matrix(6, 0.0), np.eye(24), atol=1e-15)
+@st.composite
+def headroom_pairs(draw):
+    """Two random joint states of one dim, both with empty top two Fock levels."""
+    dim = draw(st.integers(3, 24))
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+    pair = []
+    for _ in range(2):
+        br = np.zeros((4, dim), dtype=complex)
+        br[:, :dim - 2] = np.array(
+            [[complex(draw(parts), draw(parts)) for _ in range(dim - 2)] for _ in range(4)])
+        assume(np.linalg.norm(br) > 1e-3)
+        pair.append(JointState(br / np.linalg.norm(br)))
+    return pair
 
 
-def test_propagator_matrix_unitary_on_headroom_block():
-    dim, gt = 12, 0.9
-    mat = propagator_matrix(dim, gt)
-    keep = [lbl * dim + n for lbl in range(4) for n in range(dim - 2)]
-    gram = mat.conj().T @ mat
-    assert np.allclose(gram[np.ix_(keep, keep)], np.eye(len(keep)), atol=1e-12)
+@given(headroom_pairs(), st.floats(-12.0, 12.0))
+def test_propagator_preserves_inner_products(pair, gt):
+    x, y = pair
+    ux, uy = (apply_propagator(s, gt).branches for s in pair)
+    assert abs(np.vdot(ux, uy) - np.vdot(x.branches, y.branches)) <= 1e-12
+
+
+@given(headroom_pairs())
+def test_propagator_identity_at_zero(pair):
+    for state in pair:
+        assert np.array_equal(apply_propagator(state, 0.0).branches, state.branches)
 
 
 def test_norm_preserved():

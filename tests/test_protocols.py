@@ -119,6 +119,15 @@ def test_verify_bell1():
     assert report.prediction_dev <= 1e-3
 
 
+@pytest.mark.parametrize("m", [30, 300, 1000, 2000])
+def test_verify_bell1_refines_to_the_main_peak(m):
+    # the main peak has 1 - F = 1/(4 (2m+3)^2); concurrence maxima lie
+    # pi/(2 sqrt(4m+6)) apart, closer than 0.1 for m >= 14, and a side
+    # peak scores far worse (20 instead of 1/4 at m = 1000)
+    report = bell1_plan(m, 0.0).verify()
+    assert abs((1.0 - report.fidelity) * (2 * m + 3) ** 2 - 0.25) <= 1e-3
+
+
 def test_bell1_fidelity_at_nominal_time():
     plan = bell1_plan(30, math.pi)
     from tcqubits import target
@@ -127,11 +136,19 @@ def test_bell1_fidelity_at_nominal_time():
 
 
 def test_bell1_plan_json():
-    data = bell1_plan(30, math.pi).to_json()
+    plan = bell1_plan(30, math.pi)
+    data = plan.to_json()
     assert data["protocol"] == "bell1"
-    assert data["params"]["m"] == 30
+    assert data["params"] == {"m": 30, "phi": math.pi, "purity_factor": plan.purity_factor}
+    assert data["gt"] == [plan.gt1]
     assert data["gt"][0] == pytest.approx(8.6738, abs=1e-3)
+    assert data["field"] == plan.field.to_json()
     assert data["field"]["dim"] == 35
+    mu = plan.predicted.mu
+    assert data["predicted"] == {
+        "v_plus": plan.predicted.v_plus, "v_minus": plan.predicted.v_minus,
+        "w": 0.0, "p": 0.0, "h_plus": [0.0, 0.0], "h_minus": [0.0, 0.0],
+        "mu": [mu.real, mu.imag]}
 
 
 # --- negative branch --------------------------------------------------------
@@ -155,9 +172,9 @@ def test_negative_branch_curve_solves_conditions():
 
 
 def test_negative_branch_reproduces_reference_roots():
-    search = bell1_negative_branch_roots()
+    roots = bell1_negative_branch_roots()
     for x_ref, m_ref in NEGATIVE_BRANCH_REFERENCE_SEEDS:
-        matches = [r for r in search.roots
+        matches = [r for r in roots
                    if abs(r.c_m_sq - x_ref) <= 1e-4 and abs(r.m - m_ref) <= 1e-4]
         assert matches, f"reference root ({x_ref}, {m_ref}) not recovered"
         assert all(not r.feasible for r in matches)
@@ -165,23 +182,23 @@ def test_negative_branch_reproduces_reference_roots():
 
 def test_negative_branch_roots_solve_conditions():
     ms = np.linspace(-2.95, 2.95, 60)  # steps of 0.1 that miss the poles at m = -3/2, +-1/2
-    search = bell1_negative_branch_roots(ms)
-    assert [r.m for r in search.roots] == list(ms)
+    roots = bell1_negative_branch_roots(ms)
+    assert [r.m for r in roots] == list(ms)
     assert all(max(abs(v) for v in negative_branch_residuals(r.c_m_sq, r.m)) <= 1e-12
-               for r in search.roots)
+               for r in roots)
 
 
 def test_negative_branch_low_m_is_infeasible():
     # m = 0: |c_m|^2 = 0.4375 lies in [0, 1] but the m-1 block is unphysical;
     # m = 1: (2m-1)(2m+3) = 5, so A(m-1) = A(m+1) = -1 never hold together
-    low, one = bell1_negative_branch_roots([0, 1]).roots
+    low, one = bell1_negative_branch_roots([0, 1])
     assert not low.feasible and "m-1 block" in low.reason
     assert not one.feasible and "perfect square" in one.reason
 
 
 def test_negative_branch_never_feasible_at_integer_m():
     # (2m-1)(2m+3) = (2m+1)^2 - 4 lies strictly between two squares for m >= 1
-    assert not any(r.feasible for r in bell1_negative_branch_roots(range(200)).roots)
+    assert not any(r.feasible for r in bell1_negative_branch_roots(range(200)))
 
 
 # --- second-class Bell plan -------------------------------------------------
@@ -201,7 +218,7 @@ def test_bell2_rejects_non_odd(bad_l):
 def test_bell2_records_uniqueness():
     plan = bell2_plan(1)
     assert plan.unique_m == 1
-    assert plan.predicted_w == 0.5
+    assert plan.predicted.w == 0.5
     # m/(4m-2) >= 1/2 forces m <= 1 among positive integers
     assert all(m / (4 * m - 2) < 0.5 for m in range(2, 30))
 
@@ -318,10 +335,15 @@ def test_verify_werner_rows_equal_scalar_pipeline_calls(targets):
 
 
 def test_werner_plan_json():
-    data = werner_solve(1 / 3, 1 / 6).to_json()
+    plan = werner_solve(1 / 3, 1 / 6)
+    data = plan.to_json()
     assert data["protocol"] == "werner"
+    assert data["params"] == {"c0_sq": plan.c0_sq, "c10_sq": plan.c10_sq,
+                              "period": plan.period, "degenerate": False}
     assert data["params"]["c0_sq"] == pytest.approx(37 / 135, abs=1e-9)
-    assert len(data["gt"]) >= 2
+    assert data["gt"] == list(plan.times) and len(data["gt"]) >= 2
+    assert data["field"] == plan.field().to_json()
+    assert data["predicted"]["mu"] == [0.0, 0.0]
 
 
 # --- cross-protocol properties ----------------------------------------------
@@ -348,5 +370,13 @@ def test_pipeline_matches_analytic_at_plan_times():
 
 
 def test_verify_plan_rejects_unknown_type():
-    with pytest.raises(TypeError):
+    with pytest.raises(AttributeError, match="verify"):
         verify_plan(object())
+
+
+@pytest.mark.parametrize("plan,default", [(bell1_plan(8, 0.0), 1e-3), (bell2_plan(1), 1e-9),
+                                          (werner_solve(1 / 3, 1 / 6), 2e-3)])
+def test_each_plan_verifies_at_its_own_default_tolerance(plan, default):
+    assert verify_plan(plan) == plan.verify()
+    assert verify_plan(plan).tolerance == default
+    assert verify_plan(plan, 0.5).tolerance == 0.5
