@@ -11,8 +11,8 @@ from .propagator import BASIS, HeadroomError, JointState, abc, apply_propagator
 from .reduced import (XStateElements, analytic_elements, assemble_density, check_density,
                       density_to_json, is_x_type, partial_trace)
 from .entanglement import (TargetState, bell1_vector, bell2_vector, concurrence,
-                           concurrence_x_state, eof, fidelity, singlet_vector, target,
-                           werner_eta_from_k)
+                           concurrence_wootters, concurrence_x_state, eof, fidelity,
+                           singlet_vector, target, werner_eta_from_k)
 from .oracle import PathComparison, build_hamiltonian, compare_paths, evolve_oracle
 from .protocols import (Bell1Plan, Bell2Plan, NegativeBranchRoot, VerificationReport,
                         WernerPlan, bell1_conditions_residual, bell1_negative_branch_roots,
@@ -27,8 +27,8 @@ __all__ = [
     "BASIS", "HeadroomError", "JointState", "abc", "apply_propagator",
     "XStateElements", "analytic_elements", "assemble_density", "check_density",
     "density_to_json", "is_x_type", "partial_trace",
-    "TargetState", "bell1_vector", "bell2_vector", "concurrence", "concurrence_x_state",
-    "eof", "fidelity", "singlet_vector", "target", "werner_eta_from_k",
+    "TargetState", "bell1_vector", "bell2_vector", "concurrence", "concurrence_wootters",
+    "concurrence_x_state", "eof", "fidelity", "singlet_vector", "target", "werner_eta_from_k",
     "PathComparison", "build_hamiltonian", "compare_paths", "evolve_oracle",
     "Bell1Plan", "Bell2Plan", "NegativeBranchRoot", "VerificationReport", "WernerPlan",
     "bell1_conditions_residual", "bell1_negative_branch_roots", "bell1_plan",

@@ -1,10 +1,21 @@
 """Two-qubit entanglement measures and the preparation target states.
 
-Concurrence follows the spin-flip construction: lambda_i are the
-descending square roots of the eigenvalues of rho (Y(x)Y) rho* (Y(x)Y),
-computed through the Hermitian form sqrt(rho) rho_tilde sqrt(rho) for a
-numerically real nonnegative spectrum. Entanglement of formation is the
-binary-entropy function of concurrence.
+Each measure takes an exact closed form where one applies and an
+eigendecomposition otherwise:
+
+- concurrence: a matrix whose eight off-X entries are all exactly 0.0
+  (every row of a field with c_n c_{n+1} = 0) takes the Yu-Eberly X-state
+  form, `concurrence_x_state`. Any other matrix takes the Wootters
+  spin-flip route, `concurrence_wootters`: lambda_i are the descending
+  square roots of the eigenvalues of rho (Y(x)Y) rho* (Y(x)Y), computed
+  through the Hermitian form sqrt(rho) rho_tilde sqrt(rho) for a
+  numerically real nonnegative spectrum. The test for exact zeros picks
+  the route without a tolerance, so round-off never decides it.
+- fidelity: a pure target that carries its state vector (bell1, bell2)
+  takes <psi|rho|psi>; a Werner target or a raw matrix takes the Uhlmann
+  route through matrix square roots.
+
+Entanglement of formation is the binary-entropy function of concurrence.
 """
 
 from __future__ import annotations
@@ -13,6 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .reduced import X_OFF_PATTERN
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -36,42 +49,74 @@ def _dagger(mat: np.ndarray) -> np.ndarray:
     return mat.conj().swapaxes(-1, -2)
 
 
-def _density_stack(rho) -> np.ndarray:
-    """rho as a complex 4x4 matrix or (T, 4, 4) stack; anything else raises."""
+def _density_stack(rho, hermitian: bool = False) -> np.ndarray:
+    """rho as a finite complex 4x4 matrix or (T, 4, 4) stack; anything else raises."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
         raise ValueError("density matrix must be 4x4 or a (T, 4, 4) stack")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix must be finite (no NaN or inf)")
+    if hermitian and np.max(np.abs(rho - _dagger(rho))) > HERMITICITY_TOL:
+        raise ValueError("concurrence requires a Hermitian matrix")
     return rho
 
 
+def _per_matrix(values: np.ndarray, rho: np.ndarray):
+    """A float for a single 4x4 rho, the length-T array for a stack."""
+    return float(values[0]) if rho.ndim == 2 else values
+
+
 def concurrence(rho: np.ndarray):
-    """Wootters concurrence in [0, 1] of a two-qubit density matrix.
+    """Concurrence in [0, 1] of a two-qubit density matrix.
 
     A (T, 4, 4) stack gives a length-T array; every matrix must pass the
-    Hermiticity check.
+    Hermiticity check. Exactly X-type matrices take the Yu-Eberly closed
+    form, all others the Wootters eigen route.
+    """
+    rho = _density_stack(rho, hermitian=True)
+    stack = rho.reshape(-1, 4, 4)
+    x_rows = ~stack[:, X_OFF_PATTERN].any(axis=-1)
+    c = _yu_eberly(stack)
+    if not x_rows.all():
+        c = np.where(x_rows, c, _wootters(stack))
+    return _per_matrix(c, rho)
+
+
+def concurrence_wootters(rho: np.ndarray):
+    """Wootters concurrence through eigenvalues, for any Hermitian matrix or stack.
+
+    The general route of `concurrence`, and the cross-check of its
+    closed form on X-type matrices.
+    """
+    rho = _density_stack(rho, hermitian=True)
+    return _per_matrix(_wootters(rho.reshape(-1, 4, 4)), rho)
+
+
+def concurrence_x_state(rho: np.ndarray):
+    """Yu-Eberly closed-form concurrence of an X-type matrix or stack.
+
+    C = 2 max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44)).
+    Off-X entries are not read, so the result is the concurrence only
+    when they vanish.
     """
     rho = _density_stack(rho)
-    if np.max(np.abs(rho - _dagger(rho))) > HERMITICITY_TOL:
-        raise ValueError("concurrence requires a Hermitian matrix")
+    return _per_matrix(_yu_eberly(rho.reshape(-1, 4, 4)), rho)
+
+
+def _wootters(rho: np.ndarray) -> np.ndarray:
     rho_tilde = _YY @ rho.conj() @ _YY
     sq = _sqrtm_psd(rho)
     evals = np.linalg.eigvalsh(sq @ rho_tilde @ sq)
     lam = np.sqrt(np.clip(evals, 0.0, None)).T  # ascending; lam[k] is one value per matrix
     c = lam[3] - lam[2] - lam[1] - lam[0]
-    c = np.where(c > 0.0, c, 0.0)
-    return float(c) if c.ndim == 0 else c
+    return np.where(c > 0.0, c, 0.0)
 
 
-def concurrence_x_state(rho: np.ndarray) -> float:
-    """Closed-form concurrence for X-type matrices.
-
-    C = 2 max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44)).
-    Used as an independent cross-check of the eigenvalue route.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    a = abs(rho[0, 3]) - math.sqrt(max(rho[1, 1].real * rho[2, 2].real, 0.0))
-    b = abs(rho[1, 2]) - math.sqrt(max(rho[0, 0].real * rho[3, 3].real, 0.0))
-    return float(max(0.0, 2.0 * a, 2.0 * b))
+def _yu_eberly(rho: np.ndarray) -> np.ndarray:
+    d = rho.diagonal(axis1=-2, axis2=-1).real
+    a = np.abs(rho[:, 0, 3]) - np.sqrt(np.maximum(d[:, 1] * d[:, 2], 0.0))
+    b = np.abs(rho[:, 1, 2]) - np.sqrt(np.maximum(d[:, 0] * d[:, 3], 0.0))
+    return np.maximum(2.0 * np.maximum(a, b), 0.0)
 
 
 def eof(concurrence_value: float) -> float:
@@ -87,16 +132,20 @@ def eof(concurrence_value: float) -> float:
 
 @dataclass(frozen=True)
 class TargetState:
-    """A preparation target: kind, its parameter, and the exact matrix."""
+    """A preparation target: kind, its parameter, the exact matrix and, for
+    a pure target, its state vector (None for a mixed target)."""
 
     kind: str
     parameter: float
     matrix: np.ndarray
+    vector: np.ndarray | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        for name in ("matrix", "vector"):
+            if getattr(self, name) is not None:
+                m = np.asarray(getattr(self, name), dtype=complex)
+                m.flags.writeable = False
+                object.__setattr__(self, name, m)
 
 
 def bell1_vector(phi: float) -> np.ndarray:
@@ -127,10 +176,10 @@ def target(kind: str, phi: float = 0.0, eta: float | None = None, k: float | Non
     """
     if kind == "bell1":
         v = bell1_vector(phi)
-        return TargetState("bell1", float(phi), np.outer(v, v.conj()))
+        return TargetState("bell1", float(phi), np.outer(v, v.conj()), v)
     if kind == "bell2":
         v = bell2_vector()
-        return TargetState("bell2", 0.0, np.outer(v, v.conj()))
+        return TargetState("bell2", 0.0, np.outer(v, v.conj()), v)
     if kind == "werner":
         if eta is None and k is None:
             raise ValueError("werner target needs eta or k")
@@ -156,16 +205,20 @@ def target(kind: str, phi: float = 0.0, eta: float | None = None, k: float | Non
 def fidelity(rho: np.ndarray, sigma):
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in [0, 1].
 
-    sigma may be a density matrix or a TargetState. For a pure sigma this
-    reduces to <psi|rho|psi>. A (T, 4, 4) stack of rho gives a length-T
-    array.
+    sigma may be a density matrix or a TargetState. A pure target that
+    carries its vector gives <psi|rho|psi>, to which the Uhlmann form
+    reduces; anything else takes the Uhlmann route. A (T, 4, 4) stack of
+    rho gives a length-T array.
     """
-    if isinstance(sigma, TargetState):
-        sigma = sigma.matrix
     rho = _density_stack(rho)
-    sigma = np.asarray(sigma, dtype=complex)
-    sq = _sqrtm_psd(rho)
-    inner = _sqrtm_psd(sq @ sigma @ sq)
-    tr = np.trace(inner, axis1=-2, axis2=-1).real
-    f = np.minimum(np.maximum(tr * tr, 0.0), 1.0)  # tr * tr: a scalar and a batch row round alike
+    psi = sigma.vector if isinstance(sigma, TargetState) else None
+    if psi is not None:
+        f = np.einsum("i,...ij,j->...", psi.conj(), rho, psi).real
+    else:
+        sigma = _density_stack(sigma.matrix if isinstance(sigma, TargetState) else sigma)
+        sq = _sqrtm_psd(rho)
+        inner = _sqrtm_psd(sq @ sigma @ sq)
+        tr = np.trace(inner, axis1=-2, axis2=-1).real
+        f = tr * tr  # tr * tr: a scalar and a batch row round alike
+    f = np.minimum(np.maximum(f, 0.0), 1.0)
     return float(f) if f.ndim == 0 else f

@@ -23,9 +23,10 @@ EIGENVALUE_FLOOR = -1e-9
 #: the kernel's transient memory stays small and each block stays in cache.
 BLOCK_ENTRIES = 2048
 
-#: Row/column positions that must vanish for an X-type matrix (the
-#: non-diagonal, non-anti-diagonal slots).
-X_ANTI_PATTERN = ((0, 1), (0, 2), (1, 0), (2, 0), (1, 3), (2, 3), (3, 1), (3, 2))
+#: True at the eight entries that vanish for an X-type matrix: those on
+#: neither the diagonal nor the anti-diagonal.
+X_OFF_PATTERN = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+X_OFF_PATTERN.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -166,8 +167,7 @@ def partial_trace(state: JointState) -> np.ndarray:
 
 def is_x_type(rho: np.ndarray, tol: float = 1e-12) -> bool:
     """True iff the eight off-pattern entries all have magnitude <= tol."""
-    rho = np.asarray(rho)
-    return bool(max(abs(rho[i, j]) for i, j in X_ANTI_PATTERN) <= tol)
+    return bool(np.max(np.abs(np.asarray(rho)[..., X_OFF_PATTERN])) <= tol)
 
 
 def check_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> None:

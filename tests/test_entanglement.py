@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tcqubits import (analytic_elements, assemble_density, bell1_vector, bell2_vector,
-                      concurrence, concurrence_x_state, eof, fidelity, is_x_type,
-                      singlet_vector, superpose, target, werner_eta_from_k)
+                      concurrence, concurrence_wootters, concurrence_x_state, eof, fidelity,
+                      is_x_type, singlet_vector, superpose, target, werner_eta_from_k)
 
 RNG = np.random.default_rng(55)
 
@@ -52,7 +52,19 @@ def test_concurrence_rejects_non_hermitian():
 def test_concurrence_matches_x_state_closed_form():
     for _ in range(50):
         rho = random_x_density()
-        assert concurrence(rho) == pytest.approx(concurrence_x_state(rho), abs=1e-10)
+        assert concurrence_wootters(rho) == pytest.approx(concurrence_x_state(rho), abs=1e-10)
+        assert concurrence(rho) == concurrence_x_state(rho)
+
+
+def test_one_tiny_off_x_entry_takes_the_eigen_route():
+    # The route test is exact: 1e-300 is far inside is_x_type's tolerance,
+    # yet the matrix is not exactly X-type, so the eigen route serves it.
+    for _ in range(10):
+        rho = random_x_density()
+        rho[0, 1] = 1e-300
+        assert is_x_type(rho)
+        assert concurrence(rho) == concurrence_wootters(rho)
+        assert concurrence(np.array([rho, rho])).tolist() == [concurrence_wootters(rho)] * 2
 
 
 def test_concurrence_local_phase_invariant():
@@ -105,6 +117,7 @@ def test_bell1_target_corners():
 
 def test_bell_targets_are_rank_one_projectors():
     for t in (target("bell1", phi=1.1), target("bell2")):
+        assert np.array_equal(np.outer(t.vector, t.vector.conj()), t.matrix)
         evals = np.linalg.eigvalsh(t.matrix)
         assert evals[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(evals[:-1])) < 1e-12
@@ -116,6 +129,7 @@ def test_werner_eta_one_matrix():
     expected = np.diag([1 / 3, 1 / 6, 1 / 6, 1 / 3]).astype(complex)
     expected[1, 2] = expected[2, 1] = 1 / 6
     assert np.allclose(t.matrix, expected, atol=1e-15)
+    assert t.vector is None
 
 
 def test_werner_k_one_is_singlet():
@@ -157,6 +171,35 @@ def test_fidelity_pure_target_reduction():
         assert fidelity(rho, np.outer(vec, vec.conj())) == pytest.approx(direct, abs=1e-10)
 
 
+@pytest.mark.parametrize("kind", ["bell1", "bell2"])
+def test_pure_target_fidelity_matches_the_uhlmann_route(kind):
+    tgt = target(kind, phi=2.3)
+    rhos = np.concatenate([density_stack(3, 40),
+                           assemble_density(analytic_elements(superpose([(0, 1), (2, 1j)], 8),
+                                                              np.linspace(0.0, 6.0, 40)))])
+    assert np.max(np.abs(fidelity(rhos, tgt) - fidelity(rhos, tgt.matrix))) <= 5e-8
+
+
+def uhlmann_reference(rho, sigma):
+    """The Uhlmann formula exactly as fidelity evaluates it for mixed targets."""
+    def sqrtm(m):
+        evals, evecs = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
+        evals = np.clip(evals, 0.0, None)
+        evals[evals < 1e-14 * np.maximum(evals[..., -1:], 1e-300)] = 0.0
+        return (evecs * np.sqrt(evals)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+    sq = sqrtm(rho)
+    tr = np.trace(sqrtm(sq @ sigma @ sq), axis1=-2, axis2=-1).real
+    return np.minimum(np.maximum(tr * tr, 0.0), 1.0)
+
+
+def test_werner_target_fidelity_is_the_uhlmann_formula():
+    rhos = density_stack(4, 30)
+    for eta in (0.0, 0.4, 1.0):
+        tgt = target("werner", eta=eta)
+        assert np.array_equal(fidelity(rhos, tgt), uhlmann_reference(rhos, tgt.matrix))
+        assert fidelity(rhos[0], tgt) == float(uhlmann_reference(rhos[0], tgt.matrix))
+
+
 def test_fidelity_symmetric():
     a, b = random_density(), random_density()
     assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-10)
@@ -187,7 +230,7 @@ def test_batched_measures_match_per_matrix_calls(seed, size, sigma_kind):
     fid = fidelity(rhos, sigma)
     assert conc.shape == fid.shape == (size,)
     for i, rho in enumerate(rhos):
-        assert abs(conc[i] - concurrence(rho)) <= 1e-12
+        assert conc[i] == concurrence(rho)  # exact, whichever routes the stack mixes
         assert abs(fid[i] - fidelity(rho, sigma)) <= 1e-12
         assert isinstance(concurrence(rho), float) and isinstance(fidelity(rho, sigma), float)
         assert 0.0 <= conc[i] <= 1.0 and 0.0 <= fid[i] <= 1.0
@@ -203,10 +246,11 @@ def test_batched_concurrence_matches_x_state_closed_form(half_levels, seed, gts)
     rng = np.random.default_rng(seed)
     fld = superpose([(2 * k, complex(*rng.normal(size=2))) for k in half_levels], dim=28)
     rhos = assemble_density(analytic_elements(fld, np.array(gts)))
-    conc = concurrence(rhos)
+    conc = concurrence_wootters(rhos)
     for i, rho in enumerate(rhos):
         assert is_x_type(rho)
         assert abs(conc[i] - concurrence_x_state(rho)) <= 5e-8
+    assert np.array_equal(concurrence(rhos), concurrence_x_state(rhos))
 
 
 def test_one_non_hermitian_matrix_fails_the_whole_batch():
@@ -222,3 +266,29 @@ def test_measures_reject_non_density_shapes(shape):
         concurrence(np.zeros(shape))
     with pytest.raises(ValueError, match="4x4"):
         fidelity(np.zeros(shape), target("bell2"))
+
+
+MEASURES = {
+    "concurrence": concurrence,
+    "concurrence_wootters": concurrence_wootters,
+    "concurrence_x_state": concurrence_x_state,
+    "fidelity_pure": lambda rho: fidelity(rho, target("bell1", phi=0.3)),
+    "fidelity_uhlmann": lambda rho: fidelity(rho, target("werner", eta=0.5)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_measures_reject_non_finite_input(name, stacked, bad):
+    rho = random_x_density()
+    rho[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        MEASURES[name](np.array([random_x_density(), rho]) if stacked else rho)
+
+
+def test_fidelity_rejects_a_non_finite_target_matrix():
+    sigma = target("bell2").matrix.copy()
+    sigma[1, 2] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        fidelity(random_density(), sigma)
