@@ -41,23 +41,24 @@ class UsageError(ValueError):
 
 
 def parse_phase(text: str) -> float:
-    """Parse a phase like '1.57', 'pi', '-pi/2', '3pi/2' or '0.5pi'."""
+    """Parse a finite phase like '1.57', 'pi', '-pi/2', '3pi/2' or '0.5pi'."""
     s = text.strip().lower().replace(" ", "")
-    if "pi" not in s:
-        try:
-            return float(s)
-        except ValueError:
-            raise UsageError(f"cannot parse phase {text!r}") from None
-    head, _, tail = s.partition("pi")
+    head, pi, tail = s.partition("pi")
     try:
-        factor = 1.0 if head in ("", "+") else -1.0 if head == "-" else float(head)
-        if tail:
-            if not tail.startswith("/"):
-                raise ValueError
-            factor /= float(tail[1:])
-    except ValueError:
+        if not pi:
+            phase = float(s)
+        else:
+            factor = 1.0 if head in ("", "+") else -1.0 if head == "-" else float(head)
+            if tail:
+                if not tail.startswith("/"):
+                    raise ValueError
+                factor /= float(tail[1:])
+            phase = factor * math.pi
+    except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse phase {text!r}") from None
-    return factor * math.pi
+    if not math.isfinite(phase):
+        raise UsageError(f"phase {text!r} is not finite")
+    return phase
 
 
 def build_field(recipe: str, dim: int) -> tuple[FieldState, TargetState | None]:
@@ -90,7 +91,7 @@ def build_field(recipe: str, dim: int) -> tuple[FieldState, TargetState | None]:
                 idx_part, _, amp_part = chunk.partition(":")
                 re_s, _, im_s = amp_part.partition(",")
                 terms.append((int(idx_part), complex(float(re_s), float(im_s or 0.0))))
-            return superpose(terms, dim, normalize=True), None
+            return superpose(terms, dim), None
     except UsageError:
         raise
     except (ValueError, IndexError) as exc:
@@ -105,12 +106,15 @@ def parse_target(text: str) -> TargetState | None:
     if s in ("", "none"):
         return None
     kind, _, param = s.partition(":")
-    if kind == "bell1":
-        return target("bell1", phi=parse_phase(param or "0"))
-    if kind == "bell2":
-        return target("bell2")
-    if kind == "werner":
-        return target("werner", eta=float(param) if param else 1.0)
+    try:
+        if kind == "bell1":
+            return target("bell1", phi=parse_phase(param or "0"))
+        if kind == "bell2":
+            return target("bell2")
+        if kind == "werner":
+            return target("werner", eta=float(param) if param else 1.0)
+    except ValueError as exc:
+        raise UsageError(f"invalid target {text!r}: {exc}") from None
     raise UsageError(f"cannot parse target {text!r}")
 
 

@@ -130,7 +130,7 @@ def eof(concurrence_value: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == is identity, hash is by id
 class TargetState:
     """A preparation target: kind, its parameter, the exact matrix and, for
     a pure target, its state vector (None for a mixed target)."""
@@ -175,6 +175,8 @@ def target(kind: str, phi: float = 0.0, eta: float | None = None, k: float | Non
     eta = (3 - 3k)/4.
     """
     if kind == "bell1":
+        if not math.isfinite(phi):
+            raise ValueError(f"phi = {phi} is not finite")
         v = bell1_vector(phi)
         return TargetState("bell1", float(phi), np.outer(v, v.conj()), v)
     if kind == "bell2":

@@ -29,7 +29,7 @@ def _json_complex(values):
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds an array: == is identity, hash is by id
 class FieldState:
     """Immutable field state: amplitudes[n] is the coefficient of |n>."""
 
@@ -70,11 +70,10 @@ def number_state(n: int, dim: int) -> FieldState:
     return FieldState(amp)
 
 
-def superpose(terms, dim: int, normalize: bool = True) -> FieldState:
-    """Superposition sum_k coeff_k |n_k> from (n, coefficient) pairs.
+def superpose(terms, dim: int) -> FieldState:
+    """Superposition sum_k coeff_k |n_k> from (n, coefficient) pairs, rescaled to unit norm.
 
-    Coefficient phases are preserved; with normalize=True the vector is
-    rescaled to unit norm, otherwise it must already be normalized.
+    Coefficient phases are preserved.
     """
     amp = np.zeros(dim, dtype=complex)
     for n, coeff in terms:
@@ -86,9 +85,7 @@ def superpose(terms, dim: int, normalize: bool = True) -> FieldState:
         raise ValueError("superposition coefficients must be finite")
     if norm == 0.0:
         raise ValueError("superposition has all-zero coefficients")
-    if normalize:
-        amp = amp / norm
-    return FieldState(amp)
+    return FieldState(amp / norm)
 
 
 def coherent_state(alpha: complex, dim: int, parity: str = "any") -> FieldState:

@@ -1,12 +1,27 @@
 """Exact interaction-picture evolution of two resonant qubits coupled to one field mode.
 
 The joint state lives on four branches labeled by the qubit pair
-(ee, eg, ge, gg), each a vector over photon number. The evolution
-operator is applied per number state: the operator-valued entries are
-functions of the number operator composed with ladder operators, so a
-branch amplitude at n maps to amplitudes at n-2..n+2 with closed-form
-trigonometric coefficients. Time enters only through the dimensionless
-product gt (coupling strength x time); negative gt runs the inverse.
+(ee, eg, ge, gg), each a vector over photon number. The interaction H
+(g = 1) conserves N = photons + excited qubits, and on manifold N its
+eigenvalues are 0, 0 and +-sqrt(C(N - 1)) with C(k) = 2(2k + 1). So
+H^3 = C H there, and exactly
+
+    exp(-i gt H) = 1 - i (B / sqrt(C)) H + ((A - 1) / C) H^2,
+    (A, B, C) = abc(N - 1, gt).
+
+Entry by entry, with K = (A - 1)/C and S = -i B / sqrt(C) at k = N - 1
+for the output row's manifold (each source's photon number follows
+from conserving N):
+
+    ee row (k = n + 1): ee<-ee 1 + 2(n+1) K; ee<-eg, ee<-ge S sqrt(n+1);
+                        ee<-gg 2 K sqrt((n+1)(n+2))
+    eg row (k = n):     eg<-eg (A + 1)/2; eg<-ge (A - 1)/2;
+                        eg<-ee S sqrt(n); eg<-gg S sqrt(n+1)   (ge likewise)
+    gg row (k = n - 1): gg<-gg 1 + 2n K; gg<-eg, gg<-ge S sqrt(n);
+                        gg<-ee 2 K sqrt(n(n-1))
+
+Time enters only through the dimensionless product gt (coupling
+strength x time); negative gt runs the inverse.
 """
 
 from __future__ import annotations
@@ -29,7 +44,7 @@ class HeadroomError(ValueError):
     """Raised when a state carries amplitude on the top two Fock levels."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds an array: == is identity, hash is by id
 class JointState:
     """Qubit-pair x field state: branches[k] is the field vector for BASIS[k].
 
@@ -103,54 +118,40 @@ def ensure_headroom(branches: np.ndarray, tol: float = HEADROOM_TOL) -> None:
         )
 
 
+def _h_action(branches: np.ndarray) -> np.ndarray:
+    """H (g = 1) on raw (4, dim) branches: each qubit links (e, n), (g, n + 1) by sqrt(n + 1).
+
+    H conserves N, so on a state with headroom (N <= dim - 1) no power
+    of H reaches past level dim - 1 and the truncation is exact.
+    """
+    ee, eg, ge, gg = branches
+    s = np.sqrt(np.arange(1.0, branches.shape[1]))   # sqrt(n + 1) at n = 0..dim-2
+    out = np.zeros_like(branches)
+    out[EE, :-1] = s * (eg[1:] + ge[1:])
+    out[EG, 1:] = s * ee[:-1]
+    out[EG, :-1] += s * gg[1:]
+    out[GE] = out[EG]
+    out[GG, 1:] = s * (eg[:-1] + ge[:-1])
+    return out
+
+
+def _coefficients(dim: int, gts: np.ndarray):
+    """(f1, f2) = (-iB/sqrt(C), (A - 1)/C) at abc(N - 1, gt), (T, dim + 2) each.
+
+    Column N serves manifold N. H vanishes on manifold 0, so its column
+    repeats manifold 1's.
+    """
+    A, B, C = abc(np.maximum(np.arange(-1.0, dim + 1.0), 0.0), gts[:, None])
+    return -1j * B / np.sqrt(C), (A - 1.0) / C
+
+
 def _apply_raw(branches: np.ndarray, gts: np.ndarray) -> np.ndarray:
     """Evolution operator action on raw (4, dim) branches at T times: (T, 4, dim), no guards."""
-    dim = branches.shape[1]
-    k = np.arange(dim + 1, dtype=float)
-    n = k[:dim]
-    ee, eg, ge, gg = branches
-
-    # trig blocks at photon numbers 0..dim, one row per time; the n + 1
-    # and n - 1 arguments are shifted columns
-    A, B, C = abc(k, gts[:, None])
-    sqrt_c = np.sqrt(C)
-    sqrt_n1 = np.sqrt(n + 1.0)
-
-    out = np.zeros((gts.size,) + branches.shape, dtype=complex)
-
-    # row ee: argument n + 1
-    ap_term = 2.0 * (A[:, 1:] - 1.0) / C[1:]
-    out[:, EE] += (1.0 + ap_term * (n + 1.0)) * ee
-    coef_a_ee = -1j * B[:, 1:] / sqrt_c[1:] * sqrt_n1        # annihilator into ee
-    out[:, EE, :-1] += coef_a_ee[:, :-1] * (eg[1:] + ge[1:])
-    coef_aa = ap_term * np.sqrt((n + 1.0) * (n + 2.0))
-    out[:, EE, :-2] += coef_aa[:, :-2] * gg[2:]
-
-    # rows eg / ge: argument n (identical coefficients; the two branches swap roles)
-    b0_term = -1j * B[:, :dim] / sqrt_c[:dim]
-    coef_c_mid = b0_term * np.sqrt(n)                        # creator from ee
-    out[:, EG, 1:] += coef_c_mid[:, 1:] * ee[:-1]
-    out[:, GE, 1:] += coef_c_mid[:, 1:] * ee[:-1]
-    d_same = (A[:, :dim] + 1.0) / 2.0
-    d_swap = (A[:, :dim] - 1.0) / 2.0
-    out[:, EG] += d_same * eg + d_swap * ge
-    out[:, GE] += d_swap * eg + d_same * ge
-    coef_a_mid = b0_term * sqrt_n1                           # annihilator from gg
-    out[:, EG, :-1] += coef_a_mid[:, :-1] * gg[1:]
-    out[:, GE, :-1] += coef_a_mid[:, :-1] * gg[1:]
-
-    # row gg: argument n - 1, needed for n >= 1 only: every n = 0 term
-    # carries a factor of n and vanishes, leaving the diagonal 1
-    m = n[1:]
-    am_term = 2.0 * (A[:, :dim - 1] - 1.0) / C[:dim - 1]
-    coef_cc = am_term * np.sqrt(m * (m - 1.0))
-    out[:, GG, 2:] += coef_cc[:, 1:] * ee[:-2]
-    coef_c_gg = -1j * B[:, :dim - 1] / sqrt_c[:dim - 1] * np.sqrt(m)
-    out[:, GG, 1:] += coef_c_gg * (eg[:-1] + ge[:-1])
-    out[:, GG, 0] += gg[0]
-    out[:, GG, 1:] += (1.0 + am_term * m) * gg[1:]
-
-    return out
+    h1 = _h_action(branches)
+    h2 = _h_action(h1)
+    f1, f2 = _coefficients(branches.shape[1], gts)
+    manifold = np.arange(branches.shape[1]) + np.array(QUBIT_EXC)[:, None]
+    return branches + f1[:, manifold] * h1 + f2[:, manifold] * h2
 
 
 def evolve_with(kernel, state: JointState, gt) -> JointState:

@@ -33,14 +33,14 @@ WERNER_PERIOD = 2.0 * math.pi / math.sqrt(38.0)
 # small deterministic solvers
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10):
-    """Locate the maximum of a unimodal f on [lo, hi]; returns (x, f(x))."""
+def golden_section_max(f, lo: float, hi: float):
+    """Locate the maximum of a unimodal f on [lo, hi] to a 1e-10 bracket; returns (x, f(x))."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-10:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -125,7 +125,7 @@ def bell1_plan(m: int, phi: float, dim: int | None = None) -> Bell1Plan:
         raise ValueError(f"dim {dim} too small for support at m+2 plus headroom")
     c_m = 1.0 / math.sqrt(2.0)
     c_m2 = np.exp(-1j * (phi + math.pi)) / math.sqrt(2.0)
-    fld = superpose([(m, c_m), (m + 2, c_m2)], dim, normalize=True)
+    fld = superpose([(m, c_m), (m + 2, c_m2)], dim)
     q = bell1_purity_factor(m)
     predicted = XStateElements(
         v_plus=abs(c_m2) ** 2 * q,
@@ -154,23 +154,23 @@ def bell1_conditions_residual(m: int, gt: float):
     return abs(B_lo), abs(B_hi), A_lo, A_hi
 
 
-def first_concurrence_peak(fld: FieldState, gt_hi: float, threshold: float,
-                           samples: int = 4096, grid_slack: float = 0.05):
+def first_concurrence_peak(fld: FieldState, gt_hi: float, threshold: float):
     """First local concurrence maximum above threshold on [0, gt_hi].
 
-    Grid scan (one batched evaluation) plus golden-section refinement of
-    each candidate bracket; the threshold applies to the refined peak
-    (narrow peaks alias below it on the raw grid). Returns (gt_peak, peak)
+    Grid scan (4096 samples, one batched evaluation) plus golden-section
+    refinement of each local grid maximum within 0.05 of the threshold;
+    the threshold applies to the refined peak (narrow peaks alias below
+    it on the raw grid). Returns (gt_peak, peak)
     or None when no local maximum reaches the threshold.
     """
-    ts = np.linspace(0.0, gt_hi, samples)
+    ts = np.linspace(0.0, gt_hi, 4096)
 
     def conc(t):
         return concurrence(assemble_density(analytic_elements(fld, t)))
 
     cs = conc(ts)
     inner = cs[1:-1]
-    candidates = (inner >= cs[:-2]) & (inner >= cs[2:]) & (inner >= threshold - grid_slack)
+    candidates = (inner >= cs[:-2]) & (inner >= cs[2:]) & (inner >= threshold - 0.05)
     for i in np.flatnonzero(candidates) + 1:
         gt_pk, c_pk = golden_section_max(conc, ts[i - 1], ts[i + 1])
         if c_pk >= threshold:
@@ -331,8 +331,7 @@ class WernerPlan:
     degenerate: bool = False
 
     def field(self, dim: int = 16) -> FieldState:
-        return superpose([(0, math.sqrt(self.c0_sq)), (10, math.sqrt(self.c10_sq))],
-                         dim, normalize=True)
+        return superpose([(0, math.sqrt(self.c0_sq)), (10, math.sqrt(self.c10_sq))], dim)
 
     #: passes on the worst max element deviation over the solution times
     TOLERANCE: ClassVar[float] = 2e-3

@@ -3,8 +3,11 @@
 Two independent computation routes are provided and cross-checked in the
 test suite: closed-form element sums valid for the initial qubit state
 |g>|g> (analytic_elements + assemble_density), and a generic partial
-trace over the field for any joint state. Density matrices are plain
-4x4 complex arrays in the basis order (ee, eg, ge, gg).
+trace over the field for any joint state. The element sums are the Gram
+sums of the rows of U|gg, c>, with U = 1 + f1 H + f2 H^2 the propagator
+module's closed form: ee = f2 (H^2 c), eg = ge = f1 (H c) and
+gg = c + f2 (H^2 c). Density matrices are plain 4x4 complex arrays in
+the basis order (ee, eg, ge, gg).
 """
 
 from __future__ import annotations
@@ -14,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FieldState, _json_complex
-from .propagator import BASIS, JointState, abc
+from .propagator import BASIS, EE, EG, GG, JointState, _coefficients, _h_action
 
 DENSITY_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
 #: analytic_elements evaluates long time vectors in blocks of about this
-#: many (time, photon number) entries, 16 KiB per float64 temporary, so
+#: many (time, photon number) entries, 32 KiB per complex temporary, so
 #: the kernel's transient memory stays small and each block stays in cache.
 BLOCK_ENTRIES = 2048
 
@@ -77,10 +80,9 @@ class XStateElements:
 def analytic_elements(field: FieldState, gt) -> XStateElements:
     """Closed-form reduced-matrix elements for initial |g>|g> (x) field.
 
-    Finite sums over the truncated field support; the n = 0 terms that
-    would probe the n - 1 trig argument carry an explicit factor of n and
-    are exactly zero. gt is a scalar (scalar elements) or a 1-D vector of
-    T times (length-T element arrays); a scalar runs as a batch of one.
+    Finite sums over the truncated field support. gt is a scalar (scalar
+    elements) or a 1-D vector of T times (length-T element arrays); a
+    scalar runs as a batch of one.
     """
     gts = np.asarray(gt, dtype=float)
     if gts.ndim > 1:
@@ -100,38 +102,29 @@ def analytic_elements(field: FieldState, gt) -> XStateElements:
 
 
 def _element_sums(c: np.ndarray, times: np.ndarray):
-    """(v_plus, v_minus, w, h_plus, h_minus, mu), each of length T, for amplitudes c."""
+    """(v_plus, v_minus, w, h_plus, h_minus, mu), each of length T, for amplitudes c.
+
+    H c fills only the eg and ge rows (equal), H^2 c only ee and gg.
+    Column N of the coefficients serves manifold N = n + excited qubits,
+    so each row takes a shifted slice. Slices, unlike a fancy index,
+    keep every (T, dim) factor row-major, so each row sums pairwise
+    exactly as a batch of one does.
+    """
     dim = c.size
-    k = np.arange(dim + 1, dtype=float)
-    n, n1, n2 = k[:dim], k[1:], k[:dim] + 2
-
-    # trig blocks at photon numbers 0..dim, one row per time; the n + 1
-    # and n - 1 arguments are shifted columns (n - 1 clamped at n = 0).
-    # Every (T, dim) factor stays row-major so each row sums pairwise,
-    # exactly as a batch of one does.
-    A, B, C = abc(k, times[:, None])
-    B0, C0 = B[:, :dim], C[:dim]
-    Ap, Cp = A[:, 1:], C[1:]
-    Am = np.concatenate([A[:, :1], A[:, :dim - 1]], axis=1)
-    Cm = np.concatenate([C[:1], C[:dim - 1]])
-    # diagonal gg factor 1 + 2 n (A(n-1)-1)/C(n-1); exactly 1 at n = 0
-    f_gg = 1.0 + 2.0 * (Am - 1.0) / Cm * n
-    ap1 = Ap - 1.0
-    sqrt_c0 = np.sqrt(C0)
-
-    cpad = np.concatenate([c, [0.0, 0.0]])
-    c1 = cpad[1:dim + 1]   # c_{n+1}
-    c2 = cpad[2:dim + 2]   # c_{n+2}
-    c2_conj = np.conj(c2)
-    prob = np.abs(cpad) ** 2
-
-    # field-only prefactors times the (T, dim) time factors, summed over n
-    v_plus = np.sum(prob[2:] * 4.0 * n2 * n1 * (ap1 / Cp) ** 2, axis=-1)
-    w = np.sum(prob[1:dim + 1] * n1 * B0 ** 2 / C0, axis=-1)
-    h_plus = np.sum(c1 * c2_conj * (-2j * n1) * np.sqrt(n2) * (B0 / sqrt_c0) * ap1 / Cp, axis=-1)
-    h_minus = np.sum(c * np.conj(c1) * (1j * np.sqrt(n1) * B0 / sqrt_c0) * f_gg, axis=-1)
-    mu = np.sum(c * c2_conj * 2.0 * np.sqrt(n2 * n1) * ap1 / Cp * f_gg, axis=-1)
-    v_minus = np.sum(prob[:dim] * f_gg ** 2, axis=-1)
+    psi = np.zeros((4, dim), dtype=complex)
+    psi[GG] = c
+    h1 = _h_action(psi)
+    h2 = _h_action(h1)
+    f1, f2 = _coefficients(dim, times)
+    ee = f2[:, 2:] * h2[EE]
+    eg = f1[:, 1:dim + 1] * h1[EG]
+    gg = c + f2[:, :dim] * h2[GG]
+    v_plus = np.sum(np.abs(ee) ** 2, axis=-1)
+    v_minus = np.sum(np.abs(gg) ** 2, axis=-1)
+    w = np.sum(np.abs(eg) ** 2, axis=-1)
+    h_plus = np.sum(eg * ee.conj(), axis=-1)
+    h_minus = np.sum(gg * eg.conj(), axis=-1)
+    mu = np.sum(gg * ee.conj(), axis=-1)
     return v_plus, v_minus, w, h_plus, h_minus, mu
 
 

@@ -216,6 +216,21 @@ def test_plan_bell1_bad_parameters_exit_2(args, message, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["plan", "bell1", "--m", "30", "--phi", "pi/0"],
+    ["plan", "bell1", "--m", "30", "--phi", "inf"],
+    *(["scan", "--field", "single-photon", "--gt-max", "1", "--steps", "3",
+       "--outputs", "fidelity", "--target", t]
+      for t in ("bell1:pi/0", "bell1:inf", "werner:2", "werner:abc")),
+], ids=lambda args: args[-1])
+def test_bad_phase_or_target_exits_2(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_plan_bell2(capsys):
     code, out, _ = run_cli(["plan", "bell2", "--l", "1"], capsys)
     assert code == 0

@@ -148,6 +148,12 @@ def test_werner_parameter_range():
         target("werner")
 
 
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_bell1_target_rejects_non_finite_phase(phi):
+    with pytest.raises(ValueError, match="not finite"):
+        target("bell1", phi=phi)
+
+
 def test_target_unknown_kind():
     with pytest.raises(ValueError):
         target("ghz")

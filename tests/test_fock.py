@@ -61,7 +61,7 @@ def test_superpose_linear_in_coefficients():
     rng = np.random.default_rng(7)
     c = rng.normal(size=12) + 1j * rng.normal(size=12)
     c /= np.linalg.norm(c)
-    s = superpose(list(enumerate(c)), dim=12, normalize=False)
+    s = superpose(list(enumerate(c)), dim=12)
     assert np.allclose(s.amplitudes, c, atol=1e-15)
     # global rescaling is removed by normalization, phases kept
     s2 = superpose([(n, 3.7 * v) for n, v in enumerate(c)], dim=12)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 from tcqubits import (BASIS, HeadroomError, JointState, abc, apply_propagator,
                       build_hamiltonian, number_state, superpose)
-from tcqubits.propagator import EE, EG, GE, GG
+from tcqubits.propagator import EE, EG, GE, GG, QUBIT_EXC, _h_action
 
 RNG = np.random.default_rng(20240803)
 
@@ -56,7 +56,7 @@ def test_single_photon_splits_half_half():
 
 
 def test_gg_column_action_matches_matrix():
-    fld = superpose([(0, 0.6), (3, 0.8j)], dim=8, normalize=True)
+    fld = superpose([(0, 0.6), (3, 0.8j)], dim=8)
     state = JointState.from_field(fld, "gg")
     gt = 1.234
     out = apply_propagator(state, gt)
@@ -65,6 +65,26 @@ def test_gg_column_action_matches_matrix():
     mat = (evecs * np.exp(-1j * gt * evals)) @ evecs.T
     expected = (mat @ state.branches.reshape(-1)).reshape(4, 8)
     assert np.allclose(out.branches, expected, atol=1e-14)
+
+
+def test_h_cubed_is_c_times_h_on_every_manifold():
+    # manifold N = n + excited qubits has eigenvalues 0, 0 and +-sqrt(C(N - 1)),
+    # so H^3 = C(N - 1) H there: the identity behind U = 1 + f1 H + f2 H^2
+    for dim in range(3, 65):
+        state = random_joint(dim, dim - 2).branches
+        h1 = _h_action(state)
+        h3 = _h_action(_h_action(h1))
+        C = 4.0 * (np.arange(dim) + np.array(QUBIT_EXC)[:, None]) - 2.0   # C(N - 1)
+        assert np.max(np.abs(h3 - C * h1)) <= 1e-14 * np.max(np.abs(h3)), dim
+
+
+@pytest.mark.parametrize("gt", [-250.3, 1000.0])
+def test_propagator_matches_dense_exponential_at_long_times(gt):
+    state = random_joint(16, 14)
+    evals, evecs = np.linalg.eigh(build_hamiltonian(16))
+    mat = (evecs * np.exp(-1j * gt * evals)) @ evecs.T
+    expected = (mat @ state.branches.reshape(-1)).reshape(4, 16)
+    assert np.max(np.abs(apply_propagator(state, gt).branches - expected)) <= 1e-11
 
 
 @st.composite

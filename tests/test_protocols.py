@@ -103,7 +103,7 @@ def test_bell1_first_peak_even_m_property():
     for m in (8, 10, 12, 14, 16):
         plan = bell1_plan(m, 0.0)
         q = plan.purity_factor
-        res = first_concurrence_peak(plan.field, plan.gt1 + 0.5, q - 1e-6, samples=2048)
+        res = first_concurrence_peak(plan.field, plan.gt1 + 0.5, q - 1e-6)
         assert res is not None, f"no peak found for m={m}"
         gt_pk, c_pk = res
         assert abs(gt_pk - plan.gt1) <= 0.02

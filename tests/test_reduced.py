@@ -17,7 +17,7 @@ def random_field(dim=32, max_support=24, rng=RNG):
     amps = np.zeros(dim, dtype=complex)
     amps[:support] = rng.normal(size=support) + 1j * rng.normal(size=support)
     amps /= np.linalg.norm(amps)
-    return superpose(list(enumerate(amps[:support])), dim, normalize=True)
+    return superpose(list(enumerate(amps[:support])), dim)
 
 
 def analytic_rho(field, gt):

@@ -26,3 +26,14 @@ def test_removed_api_is_not_importable():
     for cls, member in DELETED_MEMBERS:
         assert not hasattr(getattr(tcqubits, cls), member), f"{cls}.{member}"
     assert "predicted_w" not in {f.name for f in dataclasses.fields(tcqubits.Bell2Plan)}
+
+
+def test_array_holding_states_and_plans_compare_and_hash():
+    field = tcqubits.number_state(1, 8)
+    objects = (field, tcqubits.JointState.from_field(field), tcqubits.target("bell2"),
+               tcqubits.target("werner", eta=1.0), tcqubits.bell1_plan(30, 0.0),
+               tcqubits.bell2_plan(1))
+    for obj in objects:
+        assert obj == obj
+        hash(obj)
+    assert tcqubits.target("bell2") != tcqubits.target("bell2")
