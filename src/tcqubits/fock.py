@@ -49,11 +49,11 @@ class FieldState:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def has_headroom(self, tol: float = HEADROOM_TOL) -> bool:
-        """True if the top two levels carry no amplitude beyond tol."""
+    def has_headroom(self) -> bool:
+        """True if the top two levels carry no amplitude beyond HEADROOM_TOL."""
         if self.dim < 3:
             return False
-        return bool(np.max(np.abs(self.amplitudes[-2:])) <= tol)
+        return bool(np.max(np.abs(self.amplitudes[-2:])) <= HEADROOM_TOL)
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "amplitudes": _json_complex(self.amplitudes)}
@@ -123,8 +123,8 @@ def coherent_state(alpha: complex, dim: int, parity: str = "any") -> FieldState:
     return FieldState(amp / norm)
 
 
-def neighbor_product_zero(state: FieldState, tol: float = 1e-12) -> bool:
-    """True iff max_n |c_n * c_{n+1}| <= tol.
+def neighbor_product_zero(state: FieldState) -> bool:
+    """True iff max_n |c_n * c_{n+1}| <= 1e-12.
 
     Fields with this property drive the qubit pair to X-type density
     matrices at every time.
@@ -132,4 +132,4 @@ def neighbor_product_zero(state: FieldState, tol: float = 1e-12) -> bool:
     c = state.amplitudes
     if c.size < 2:
         return True
-    return bool(np.max(np.abs(c[:-1] * c[1:])) <= tol)
+    return bool(np.max(np.abs(c[:-1] * c[1:])) <= 1e-12)

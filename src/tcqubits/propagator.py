@@ -106,14 +106,14 @@ def abc(n, gt):
     return np.cos(arg), np.sin(arg), C
 
 
-def ensure_headroom(branches: np.ndarray, tol: float = HEADROOM_TOL) -> None:
+def ensure_headroom(branches: np.ndarray) -> None:
     dim = branches.shape[-1]
     if dim < 3:
         raise HeadroomError(f"dim {dim} leaves no headroom (need dim >= 3)")
     top = np.max(np.abs(branches[..., dim - 2:]))
-    if top > tol:
+    if top > HEADROOM_TOL:
         raise HeadroomError(
-            f"amplitude {top:.3e} on the top two Fock levels exceeds {tol:.1e}; "
+            f"amplitude {top:.3e} on the top two Fock levels exceeds {HEADROOM_TOL:.1e}; "
             "the evolution raises n by up to 2 and would leak out of the truncation"
         )
 

@@ -123,6 +123,8 @@ def bell1_plan(m: int, phi: float, dim: int | None = None) -> Bell1Plan:
         dim = m + 5
     if dim < m + 5:
         raise ValueError(f"dim {dim} too small for support at m+2 plus headroom")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi = {phi} is not finite")
     c_m = 1.0 / math.sqrt(2.0)
     c_m2 = np.exp(-1j * (phi + math.pi)) / math.sqrt(2.0)
     fld = superpose([(m, c_m), (m + 2, c_m2)], dim)

@@ -6,8 +6,9 @@ test suite: closed-form element sums valid for the initial qubit state
 trace over the field for any joint state. The element sums are the Gram
 sums of the rows of U|gg, c>, with U = 1 + f1 H + f2 H^2 the propagator
 module's closed form: ee = f2 (H^2 c), eg = ge = f1 (H c) and
-gg = c + f2 (H^2 c). Density matrices are plain 4x4 complex arrays in
-the basis order (ee, eg, ge, gg).
+gg = c + f2 (H^2 c). A vector of T times is one batched evaluation, not
+split into blocks, so its temporaries are O(T*dim). Density matrices are
+plain 4x4 complex arrays in the basis order (ee, eg, ge, gg).
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ from .propagator import BASIS, EE, EG, GG, JointState, _coefficients, _h_action
 
 DENSITY_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
-#: analytic_elements evaluates long time vectors in blocks of about this
-#: many (time, photon number) entries, 32 KiB per complex temporary, so
-#: the kernel's transient memory stays small and each block stays in cache.
-BLOCK_ENTRIES = 2048
 
 #: True at the eight entries that vanish for an X-type matrix: those on
 #: neither the diagonal nor the anti-diagonal.
@@ -54,12 +51,12 @@ class XStateElements:
     def p(self) -> float:
         return self.w
 
-    def validate(self, tol: float = DENSITY_TOL) -> None:
-        """Unit trace and populations in [0, 1], on every row of a batch."""
+    def validate(self) -> None:
+        """Unit trace and populations in [0, 1] within DENSITY_TOL, on every row of a batch."""
         pops = np.array((self.v_plus, self.v_minus, self.w))
-        if (abs(pops[0] + 2 * pops[2] + pops[1] - 1.0) > tol).any():
+        if (abs(pops[0] + 2 * pops[2] + pops[1] - 1.0) > DENSITY_TOL).any():
             raise ValueError("elements violate unit trace")
-        outside = ~((-tol <= pops) & (pops <= 1.0 + tol))  # NaN is outside too
+        outside = ~((-DENSITY_TOL <= pops) & (pops <= 1.0 + DENSITY_TOL))  # NaN is outside too
         if outside.any():
             k = np.argwhere(outside)[0]
             name = ("v_plus", "v_minus", "w")[k[0]]
@@ -82,17 +79,13 @@ def analytic_elements(field: FieldState, gt) -> XStateElements:
 
     Finite sums over the truncated field support. gt is a scalar (scalar
     elements) or a 1-D vector of T times (length-T element arrays); a
-    scalar runs as a batch of one.
+    scalar runs as a batch of one. The whole vector is one kernel call, so
+    its temporaries are O(T*dim); a caller bounds memory by the T it passes.
     """
     gts = np.asarray(gt, dtype=float)
     if gts.ndim > 1:
         raise ValueError("gt must be a scalar or a 1-D vector")
-    c = field.amplitudes
-    times = gts.reshape(-1)
-    rows = max(1, BLOCK_ENTRIES // (c.size + 1))
-    blocks = [_element_sums(c, times[i:i + rows]) for i in range(0, max(times.size, 1), rows)]
-    sums = blocks[0] if len(blocks) == 1 else [np.concatenate(s) for s in zip(*blocks)]
-    v_plus, v_minus, w, h_plus, h_minus, mu = sums
+    v_plus, v_minus, w, h_plus, h_minus, mu = _element_sums(field.amplitudes, gts.reshape(-1))
     if gts.ndim == 0:
         return XStateElements(v_plus=float(v_plus[0]), v_minus=float(v_minus[0]), w=float(w[0]),
                               h_plus=complex(h_plus[0]), h_minus=complex(h_minus[0]),
@@ -163,14 +156,14 @@ def is_x_type(rho: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(np.asarray(rho)[..., X_OFF_PATTERN])) <= tol)
 
 
-def check_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> None:
-    """Validate Hermiticity, unit trace and the positivity floor."""
+def check_density(rho: np.ndarray) -> None:
+    """Validate Hermiticity, unit trace (both within DENSITY_TOL) and the positivity floor."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("density matrix must be 4x4")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    if np.max(np.abs(rho - rho.conj().T)) > DENSITY_TOL:
         raise ValueError("density matrix not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
+    if abs(np.trace(rho).real - 1.0) > DENSITY_TOL or abs(np.trace(rho).imag) > DENSITY_TOL:
         raise ValueError("density matrix trace differs from 1")
     if np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) < EIGENVALUE_FLOOR:
         raise ValueError("density matrix has an eigenvalue below the positivity floor")

@@ -181,6 +181,14 @@ def test_scan_nonfinite_window_exits_2(capsys):
     assert err.strip() == "error: --gt-min and --gt-max must be finite"
 
 
+def test_scan_overflowing_window_exits_2(capsys):
+    code, out, err = run_cli(["scan", "--field", "vacuum", "--gt-min=-1e308", "--gt-max=1e308",
+                              "--steps", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: --gt-max - --gt-min overflows"
+
+
 def test_scan_density_requires_json(capsys):
     code, _, err = run_cli(["scan", "--field", "vacuum", "--gt-max", "1",
                             "--outputs", "density"], capsys)
@@ -221,7 +229,7 @@ def test_plan_bell1_bad_parameters_exit_2(args, message, capsys):
     ["plan", "bell1", "--m", "30", "--phi", "inf"],
     *(["scan", "--field", "single-photon", "--gt-max", "1", "--steps", "3",
        "--outputs", "fidelity", "--target", t]
-      for t in ("bell1:pi/0", "bell1:inf", "werner:2", "werner:abc")),
+      for t in ("bell1:pi/0", "bell1:inf", "werner:2", "werner:abc", "bell2:xyz")),
 ], ids=lambda args: args[-1])
 def test_bad_phase_or_target_exits_2(args, capsys):
     code, out, err = run_cli(args, capsys)
@@ -229,6 +237,43 @@ def test_bad_phase_or_target_exits_2(args, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
+
+
+def assert_one_line_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+COMMANDS = {
+    "scan": ["scan", "--field", "vacuum", "--dim", "8", "--gt-max", "1", "--steps", "3"],
+    "plan": ["plan", "bell2"],
+    "validate": ["validate", "--dim", "40", "--trials", "1"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_unwritable_out_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli([*COMMANDS[command], "--out", str(path)], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err.startswith(f"error: cannot write --out {str(path)!r}: ")
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--field", "nonsense", "--gt-max", "1"],
+    ["plan", "bell2", "--tol", "nan"],
+    ["validate", "--trials", "0"],
+    ["validate", "--dim", "40", "--trials", "1", "--seed", "-1"],
+], ids=["scan-field", "plan-tol", "validate-trials", "validate-seed"])
+def test_usage_error_leaves_an_existing_out_untouched(argv, tmp_path, capsys):
+    path = tmp_path / "kept.txt"
+    path.write_bytes(b"earlier output\n")
+    code, out, err = run_cli([*argv, "--out", str(path)], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert path.read_bytes() == b"earlier output\n"
 
 
 def test_plan_bell2(capsys):
@@ -283,9 +328,11 @@ def test_plan_werner_gt_max_below_first_time_exits_2(capsys):
 
 
 def test_validate_small_run(capsys):
-    code, out, _ = run_cli(["validate", "--dim", "32", "--trials", "2",
-                            "--seed", "7"], capsys)
+    code, out, err = run_cli(["validate", "--dim", "32", "--trials", "2",
+                              "--seed", "7"], capsys)
     assert code == 2  # bell1-m30 preset exceeds dim=32
+    assert out == ""  # the presets are resolved before anything is written
+    assert "bell1-m30" in err
     code, out, _ = run_cli(["validate", "--dim", "40", "--trials", "2",
                             "--seed", "7"], capsys)
     assert code == 0

@@ -62,6 +62,13 @@ def test_bell1_plan_rejects_small_dim():
         bell1_plan(30, 0.0, dim=33)
 
 
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+def test_bell1_plan_rejects_non_finite_phase(phi):
+    # raised before np.exp sees phi, so no RuntimeWarning comes first
+    with pytest.raises(ValueError, match="not finite"):
+        bell1_plan(30, phi)
+
+
 def test_bell1_predicted_elements():
     plan = bell1_plan(30, math.pi)
     q = plan.purity_factor

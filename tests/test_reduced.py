@@ -7,7 +7,6 @@ from hypothesis import assume, given, strategies as st
 from tcqubits import (JointState, XStateElements, analytic_elements, apply_propagator,
                       assemble_density, check_density, coherent_state, density_to_json,
                       is_x_type, number_state, partial_trace, superpose)
-from tcqubits.reduced import BLOCK_ENTRIES
 
 RNG = np.random.default_rng(918273)
 
@@ -221,9 +220,9 @@ def test_batched_elements_and_density_match_scalar_calls(f, gts):
         assert np.max(np.abs(rhos[i] - rho)) <= 1e-15
 
 
-def test_long_batch_spans_blocks_and_matches_scalar_calls():
+def test_long_batch_matches_scalar_calls():
     f = coherent_state(2.5, 64, parity="even")
-    gts = np.linspace(0.0, 9.0, 3 * (BLOCK_ENTRIES // 65) + 5)  # four blocks at dim 64
+    gts = np.linspace(0.0, 9.0, 95)
     rhos = assemble_density(analytic_elements(f, gts))
     assert all(np.array_equal(rhos[i], analytic_rho(f, gt)) for i, gt in enumerate(gts))
 

@@ -2,14 +2,18 @@
 
 import dataclasses
 import importlib
+import inspect
 
 import tcqubits
+from tcqubits import propagator
 
 MODULES = ("fock", "propagator", "reduced", "entanglement", "oracle", "protocols", "cli")
 
-#: names removed because only tests used them and none of them is a cross-check
+#: names removed because only tests used them and none of them is a cross-check,
+#: or because their one caller no longer needs them (ScanSpec, BLOCK_ENTRIES)
 DELETED_NAMES = ("propagator_matrix", "excitation_operator", "NegativeBranchSearch",
-                 "density_from_json", "DEFAULT_TOLERANCES", "_parser")
+                 "density_from_json", "DEFAULT_TOLERANCES", "_parser", "ScanSpec",
+                 "BLOCK_ENTRIES")
 DELETED_MEMBERS = (("FieldState", "from_json"), ("FieldState", "norm"),
                    ("PathComparison", "to_json"))
 
@@ -26,6 +30,14 @@ def test_removed_api_is_not_importable():
     for cls, member in DELETED_MEMBERS:
         assert not hasattr(getattr(tcqubits, cls), member), f"{cls}.{member}"
     assert "predicted_w" not in {f.name for f in dataclasses.fields(tcqubits.Bell2Plan)}
+
+
+def test_fixed_tolerances_take_no_argument():
+    # every caller used the module constant, so none of these is settable
+    checks = (tcqubits.FieldState.has_headroom, propagator.ensure_headroom,
+              tcqubits.neighbor_product_zero, tcqubits.XStateElements.validate,
+              tcqubits.check_density)
+    assert [f.__name__ for f in checks if "tol" in inspect.signature(f).parameters] == []
 
 
 def test_array_holding_states_and_plans_compare_and_hash():
