@@ -29,7 +29,6 @@ import numpy as np
 from .entanglement import TargetState, concurrence, fidelity, target
 from .fock import FieldState, coherent_state, number_state, superpose
 from .oracle import compare_paths
-from .propagator import HeadroomError
 from .reduced import analytic_elements, assemble_density, density_to_json
 from .protocols import bell1_plan, bell2_plan, verify_plan, werner_solve
 
@@ -157,9 +156,6 @@ def cmd_scan(args) -> int:
     fid_target = fid_target or preset_target
     if "fidelity" in outputs and fid_target is None:
         raise UsageError("fidelity output requires --target for this recipe")
-    if not fld.has_headroom():
-        raise UsageError(
-            f"recipe {args.field!r} leaves no headroom at dim={args.dim}; increase --dim")
 
     grid = np.linspace(args.gt_min, args.gt_max, args.steps)
     rows = []
@@ -308,10 +304,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = {"scan": cmd_scan, "plan": cmd_plan, "validate": cmd_validate}[args.command]
     try:
-        if getattr(args, "tol", None) is not None and not math.isfinite(args.tol):
+        tol = getattr(args, "tol", None)
+        if tol is not None and not math.isfinite(tol):
             raise UsageError("--tol must be finite")
+        if tol is not None and tol < 0:
+            raise UsageError("--tol must be >= 0")
         return command(args)
-    except (UsageError, HeadroomError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -56,7 +56,7 @@ def _density_stack(rho, hermitian: bool = False) -> np.ndarray:
         raise ValueError("density matrix must be 4x4 or a (T, 4, 4) stack")
     if not np.isfinite(rho).all():
         raise ValueError("density matrix must be finite (no NaN or inf)")
-    if hermitian and np.max(np.abs(rho - _dagger(rho))) > HERMITICITY_TOL:
+    if hermitian and not (np.abs(rho - _dagger(rho)) <= HERMITICITY_TOL).all():
         raise ValueError("concurrence requires a Hermitian matrix")
     return rho
 

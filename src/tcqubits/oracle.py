@@ -20,8 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import FieldState
-from .propagator import (BASIS, EE, EG, GE, GG, QUBIT_EXC, JointState, apply_propagator,
-                         evolve_with)
+from .propagator import EE, EG, GE, GG, QUBIT_EXC, JointState, apply_propagator, evolve_with
 from .reduced import analytic_elements, assemble_density, partial_trace
 
 
@@ -33,8 +32,6 @@ def build_hamiltonian(dim: int) -> np.ndarray:
     transpose). No evolution uses it: it is the tests' entry-by-entry
     arbiter of the per-manifold blocks that evolve_oracle exponentiates.
     """
-    if dim < 3:
-        raise ValueError("dim must be >= 3")
     size = 4 * dim
     lower = np.zeros((size, size))
 
@@ -62,8 +59,6 @@ def _manifold_blocks(dim: int) -> np.ndarray:
     where its zero eigenvalue mixes with the dark singlet, exp(-i gt 0)
     is the identity anyway.
     """
-    if dim < 3:
-        raise ValueError("dim must be >= 3")
     N = np.arange(dim + 2, dtype=float)
     exists = [(N - exc >= 0) & (N - exc <= dim - 1) for exc in QUBIT_EXC]
     upper = np.where(exists[EE] & exists[EG], np.sqrt(np.maximum(N - 1.0, 0.0)), 0.0)
@@ -106,36 +101,30 @@ def evolve_oracle(state: JointState, gt) -> JointState:
 
 @dataclass(frozen=True)
 class PathComparison:
-    """Deviations between the closed-form route and the brute-force route.
+    """Worst deviations between the closed-form route and the brute-force route.
 
-    For a batch over T times every field holds one entry per time:
-    length-T arrays, and a tuple of T label pairs for density_argmax.
+    Floats for a scalar gt; length-T arrays, one entry per time, for a
+    vector of T times.
     """
 
     max_density_dev: float
-    density_argmax: tuple
     max_joint_dev: float
-    gt: float
 
 
 def compare_paths(field: FieldState, gt) -> PathComparison:
     """Evolve |gg> (x) field both ways and report the worst disagreement.
 
     gt is a scalar or a 1-D vector of T times; both routes evaluate the
-    whole vector in one call each.
+    times as one vector, and a scalar is a batch of one.
     """
+    times = np.atleast_1d(np.asarray(gt, dtype=float))
     joint0 = JointState.from_field(field, "gg")
-    evolved = apply_propagator(joint0, gt)
-    brute = evolve_oracle(joint0, gt)
+    evolved = apply_propagator(joint0, times)
+    brute = evolve_oracle(joint0, times)
 
     joint_dev = np.max(np.abs(evolved.branches - brute.branches), axis=(-2, -1))
-    rho_analytic = assemble_density(analytic_elements(field, gt))
-    rho_brute = partial_trace(brute)
-    diff = np.abs(rho_analytic - rho_brute).reshape(np.shape(gt) + (16,))
-    density_dev = np.max(diff, axis=-1)
-    argmax = tuple((BASIS[k // 4], BASIS[k % 4]) for k in np.argmax(diff, axis=-1).reshape(-1))
+    rho_analytic = assemble_density(analytic_elements(field, times))
+    density_dev = np.max(np.abs(rho_analytic - partial_trace(brute)), axis=(-2, -1))
     if np.ndim(gt) == 0:
-        return PathComparison(max_density_dev=float(density_dev), density_argmax=argmax[0],
-                              max_joint_dev=float(joint_dev), gt=float(gt))
-    return PathComparison(max_density_dev=density_dev, density_argmax=argmax,
-                          max_joint_dev=joint_dev, gt=np.asarray(gt, dtype=float))
+        return PathComparison(float(density_dev[0]), float(joint_dev[0]))
+    return PathComparison(density_dev, joint_dev)

@@ -22,6 +22,10 @@ from conserving N):
 
 Time enters only through the dimensionless product gt (coupling
 strength x time); negative gt runs the inverse.
+
+H conserves N, so the truncation to n <= dim - 1 is exact for amplitude on
+manifolds N <= dim - 1: ee's top two levels and eg's and ge's top one
+empty, gg never cut. ensure_headroom is the package's one check of it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import HEADROOM_TOL, FieldState
+from .fock import FieldState
 
 BASIS = ("ee", "eg", "ge", "gg")
 EE, EG, GE, GG = 0, 1, 2, 3
@@ -38,10 +42,15 @@ EE, EG, GE, GG = 0, 1, 2, 3
 QUBIT_EXC = (2, 1, 1, 0)
 
 JOINT_NORM_TOL = 1e-10
+#: Amplitude ceiling on manifolds N > dim - 1, which the truncation cuts.
+HEADROOM_TOL = 1e-12
+#: Over the last two Fock levels (dim - 2, dim - 1), True where
+#: n + QUBIT_EXC[k] > dim - 1: ee's two levels, eg's and ge's top one.
+_BEYOND_CUT = np.array([[True, True], [False, True], [False, True], [False, False]])
 
 
 class HeadroomError(ValueError):
-    """Raised when a state carries amplitude on the top two Fock levels."""
+    """Raised when a state carries amplitude on a manifold the truncation cuts."""
 
 
 @dataclass(frozen=True, eq=False)  # holds an array: == is identity, hash is by id
@@ -107,22 +116,24 @@ def abc(n, gt):
 
 
 def ensure_headroom(branches: np.ndarray) -> None:
-    dim = branches.shape[-1]
-    if dim < 3:
-        raise HeadroomError(f"dim {dim} leaves no headroom (need dim >= 3)")
-    top = np.max(np.abs(branches[..., dim - 2:]))
+    """Raise HeadroomError unless (4, dim) branches keep to manifolds N <= dim - 1.
+
+    Amplitude up to HEADROOM_TOL is tolerated on the cut manifolds.
+    """
+    edge = branches[:, -2:]
+    top = np.abs(edge[_BEYOND_CUT[:, -edge.shape[1]:]]).max()   # dim 1 has only level dim - 1
     if top > HEADROOM_TOL:
         raise HeadroomError(
-            f"amplitude {top:.3e} on the top two Fock levels exceeds {HEADROOM_TOL:.1e}; "
-            "the evolution raises n by up to 2 and would leak out of the truncation"
-        )
+            f"amplitude {top:.3e} on excitation manifolds above dim - 1 = "
+            f"{branches.shape[1] - 1} exceeds {HEADROOM_TOL:.1e}; "
+            "the evolution would leak out of the truncation")
 
 
 def _h_action(branches: np.ndarray) -> np.ndarray:
     """H (g = 1) on raw (4, dim) branches: each qubit links (e, n), (g, n + 1) by sqrt(n + 1).
 
-    H conserves N, so on a state with headroom (N <= dim - 1) no power
-    of H reaches past level dim - 1 and the truncation is exact.
+    H conserves N, so on a state that passes ensure_headroom (N <= dim - 1)
+    no power of H reaches past level dim - 1 and the truncation is exact.
     """
     ee, eg, ge, gg = branches
     s = np.sqrt(np.arange(1.0, branches.shape[1]))   # sqrt(n + 1) at n = 0..dim-2
@@ -177,9 +188,9 @@ def apply_propagator(state: JointState, gt) -> JointState:
     """Evolve a joint state by the exact propagator at dimensionless time gt.
 
     gt is a scalar (one JointState) or a 1-D vector of T times (a
-    (T, 4, dim) stack). Requires two empty top Fock levels (headroom) so
-    the n-raising terms stay inside the truncation; norm is then
-    preserved to 1e-12.
+    (T, 4, dim) stack). Requires every amplitude on an excitation manifold
+    N <= dim - 1 (ensure_headroom), where the truncation is exact; norm is
+    then preserved to 1e-12.
     """
     return evolve_with(_apply_raw, state, gt)
 

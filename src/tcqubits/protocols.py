@@ -121,8 +121,8 @@ def bell1_plan(m: int, phi: float, dim: int | None = None) -> Bell1Plan:
         raise ValueError("m must be >= 1 so the m-1 block is physical")
     if dim is None:
         dim = m + 5
-    if dim < m + 5:
-        raise ValueError(f"dim {dim} too small for support at m+2 plus headroom")
+    if dim < m + 3:
+        raise ValueError(f"dim {dim} too small for support at m+2")
     if not math.isfinite(phi):
         raise ValueError(f"phi = {phi} is not finite")
     c_m = 1.0 / math.sqrt(2.0)

@@ -85,13 +85,10 @@ def analytic_elements(field: FieldState, gt) -> XStateElements:
     gts = np.asarray(gt, dtype=float)
     if gts.ndim > 1:
         raise ValueError("gt must be a scalar or a 1-D vector")
-    v_plus, v_minus, w, h_plus, h_minus, mu = _element_sums(field.amplitudes, gts.reshape(-1))
+    sums = _element_sums(field.amplitudes, gts.reshape(-1))
     if gts.ndim == 0:
-        return XStateElements(v_plus=float(v_plus[0]), v_minus=float(v_minus[0]), w=float(w[0]),
-                              h_plus=complex(h_plus[0]), h_minus=complex(h_minus[0]),
-                              mu=complex(mu[0]))
-    return XStateElements(v_plus=v_plus, v_minus=v_minus, w=w,
-                          h_plus=h_plus, h_minus=h_minus, mu=mu)
+        sums = [values[0].item() for values in sums]   # Python float / complex
+    return XStateElements(*sums)
 
 
 def _element_sums(c: np.ndarray, times: np.ndarray):

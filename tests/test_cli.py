@@ -159,11 +159,32 @@ def test_scan_bad_recipe_exits_2(capsys):
     assert "recipe" in err
 
 
-def test_scan_headroom_exits_2(capsys):
-    code, _, err = run_cli(["scan", "--field", "bell1-m30", "--dim", "34",
-                            "--gt-max", "1"], capsys)
-    assert code == 2
-    assert "headroom" in err
+def test_scan_runs_at_the_smallest_dim_that_holds_the_field(capsys):
+    # |gg, 32> lies on manifold 32 = dim - 1 at dim 33, where the truncation is exact
+    window = ["--gt-min", "8", "--gt-max", "9.5", "--steps", "40"]
+    code, out, _ = run_cli(["scan", "--field", "bell1-m30", "--dim", "33", *window], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    _, wide = parse_csv(run_cli(["scan", "--field", "bell1-m30", "--dim", "40", *window],
+                                capsys)[1])
+    assert len(rows) == len(wide) == 40
+    for row, ref in zip(rows, wide):
+        assert row.keys() == ref.keys()
+        assert max(abs(row[k] - ref[k]) for k in row) <= 1e-15
+    code, out, err = run_cli(["scan", "--field", "bell1-m30", "--dim", "32", *window], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert "dim 32 too small" in err
+
+
+def test_scan_overflowing_recipes(capsys):
+    code, out, err = run_cli(["scan", "--field", "even-coherent:1e200", "--gt-max", "1"], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert "overflows" in err
+    # finite coefficients whose norm overflows give the rescaled field, with no warning
+    args = ["--dim", "8", "--gt-max", "3", "--steps", "7"]
+    code, big, err = run_cli(["scan", "--field", "1:1e200,0;3:1e200,0", *args], capsys)
+    assert (code, err) == (0, "")
+    assert big == run_cli(["scan", "--field", "1:1,0;3:1,0", *args], capsys)[1]
 
 
 @pytest.mark.parametrize("recipe", ["0:nan,0", "even-coherent:nan"])
@@ -313,6 +334,17 @@ def test_nonfinite_tol_exits_2(command, capsys):
     assert err.strip() == "error: --tol must be finite"
 
 
+@pytest.mark.parametrize("command", [["plan", "bell1", "--m", "30"],
+                                     ["validate", "--dim", "40", "--trials", "1"]],
+                         ids=["plan", "validate"])
+def test_negative_tol_exits_2(command, capsys):
+    # no result can pass a negative tolerance: a usage error, not a failed verification
+    code, out, err = run_cli([*command, "--tol", "-1"], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err.strip() == "error: --tol must be >= 0"
+    assert run_cli([*command, "--tol", "0"], capsys)[0] in (0, 1)
+
+
 def test_plan_werner_infinite_gt_max_exits_2(capsys):
     code, _, err = run_cli(["plan", "werner", "--gt-max", "inf"], capsys)
     assert code == 2
@@ -335,6 +367,10 @@ def test_validate_small_run(capsys):
     assert "bell1-m30" in err
     code, out, _ = run_cli(["validate", "--dim", "40", "--trials", "2",
                             "--seed", "7"], capsys)
+    assert code == 0
+    assert "PASS" in out
+    # the smallest dim that holds bell1-m30 exactly
+    code, out, _ = run_cli(["validate", "--dim", "33", "--trials", "1"], capsys)
     assert code == 0
     assert "PASS" in out
 

@@ -140,10 +140,12 @@ def test_constructors_reject_nonfinite_inputs():
         coherent_state(np.nan, 16, parity="even")
 
 
-def test_has_headroom():
-    assert number_state(1, 8).has_headroom()
-    assert not number_state(7, 8).has_headroom()
-    assert not number_state(6, 8).has_headroom()
+def test_constructors_handle_overflowing_inputs():
+    # finite coefficients whose norm overflows are scaled down, with no warning
+    big = superpose([(1, 1e200), (3, 1e200j)], dim=8)
+    assert np.array_equal(big.amplitudes, superpose([(1, 1.0), (3, 1j)], dim=8).amplitudes)
+    with pytest.raises(ValueError, match="overflows"):
+        coherent_state(1e200, 16, parity="even")
 
 
 def test_field_json_encoding():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from tcqubits import (JointState, analytic_elements, apply_propagator, assemble_density,
-                      build_hamiltonian, coherent_state, compare_paths, evolve_oracle,
-                      number_state, superpose)
+from tcqubits import (HeadroomError, JointState, analytic_elements, apply_propagator,
+                      assemble_density, build_hamiltonian, coherent_state, compare_paths,
+                      concurrence, concurrence_wootters, evolve_oracle, number_state, superpose)
 from tcqubits.oracle import _decomposition, _manifold_blocks
 from tcqubits.propagator import EE, EG, GE, GG, QUBIT_EXC
 
@@ -108,22 +108,28 @@ def test_compare_paths_even_coherent():
     assert rep.max_density_dev <= 1e-9
 
 
-def test_compare_paths_reports_location():
-    rep = compare_paths(number_state(1, 8), 0.9)
-    assert rep.density_argmax[0] in ("ee", "eg", "ge", "gg")
-    assert rep.gt == 0.9
-
-
 def test_one_decomposition_cached():
     compare_paths(number_state(1, 8), 0.5)
     compare_paths(number_state(1, 12), 0.5)
     assert _decomposition.cache_info().currsize == 1
 
 
+def cut_violation(label, level, amplitude, dim=8):
+    """|gg, 0> plus a small amplitude at (label, level), normalized."""
+    br = np.zeros((4, dim), dtype=complex)
+    br[GG, 0], br[label, level] = 1.0, amplitude
+    return JointState(br / np.linalg.norm(br))
+
+
 def test_headroom_enforced():
-    state = JointState.from_field(number_state(7, 8), "gg")
-    with pytest.raises(ValueError):
-        evolve_oracle(state, 0.5)
+    # at dim 8, ee at level 6 and eg, ge at level 7 lie on manifold 8, just past the cut
+    for label, level in ((EE, 6), (EG, 7), (GE, 7)):
+        with pytest.raises(HeadroomError):
+            evolve_oracle(cut_violation(label, level, 1e-6), 0.5)
+        evolve_oracle(cut_violation(label, level, 1e-13), 0.5)   # within HEADROOM_TOL
+    # their neighbours eg, ge at level 6 and gg at level 7 lie on manifold 7, inside it
+    for label, level in ((EG, 6), (GE, 6), (GG, 7)):
+        evolve_oracle(cut_violation(label, level, 1e-6), 0.5)
 
 
 # --- per-manifold blocks against the dense arbiter ---------------------------
@@ -143,7 +149,7 @@ def scatter_blocks(dim):
     return dense
 
 
-@pytest.mark.parametrize("dim", [3, 4, 8, 33, 64])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 33, 64])
 def test_blocks_scatter_to_dense_hamiltonian(dim):
     assert np.array_equal(scatter_blocks(dim), build_hamiltonian(dim))
 
@@ -216,7 +222,6 @@ def test_batched_compare_paths_matches_scalar_calls(state, gts):
         one = compare_paths(field, gt)
         assert abs(batch.max_density_dev[i] - one.max_density_dev) <= 1e-15
         assert abs(batch.max_joint_dev[i] - one.max_joint_dev) <= 1e-15
-        assert batch.gt[i] == one.gt
 
 
 @given(gt_vectors, st.data())
@@ -236,7 +241,8 @@ def test_evolution_takes_an_empty_vector_and_rejects_a_matrix_of_times_or_a_stac
             evolve(state, np.zeros((2, 2)))
         with pytest.raises(ValueError, match="stack"):
             evolve(evolve(state, np.array([0.1, 0.2])), 0.3)
-    assert assemble_density(analytic_elements(number_state(1, 8), [])).shape == (0, 4, 4)
+    rho = assemble_density(analytic_elements(number_state(1, 8), []))
+    assert rho.shape == (0, 4, 4)
+    assert concurrence(rho).shape == concurrence_wootters(rho).shape == (0,)
     rep = compare_paths(number_state(1, 8), [])
     assert rep.max_density_dev.shape == rep.max_joint_dev.shape == (0,)
-    assert rep.density_argmax == ()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from tcqubits import (BASIS, HeadroomError, JointState, abc, apply_propagator,
-                      build_hamiltonian, number_state, superpose)
+                      build_hamiltonian, evolve_oracle, number_state, superpose)
 from tcqubits.propagator import EE, EG, GE, GG, QUBIT_EXC, _h_action
 
 RNG = np.random.default_rng(20240803)
@@ -87,16 +87,21 @@ def test_propagator_matches_dense_exponential_at_long_times(gt):
     assert np.max(np.abs(apply_propagator(state, gt).branches - expected)) <= 1e-11
 
 
+def complete_manifolds(dim):
+    """(4, dim) mask of the levels n with n + QUBIT_EXC[k] <= dim - 1: the exact domain."""
+    return np.arange(dim) + np.array(QUBIT_EXC)[:, None] <= dim - 1
+
+
 @st.composite
 def headroom_pairs(draw):
-    """Two random joint states of one dim, both with empty top two Fock levels."""
-    dim = draw(st.integers(3, 24))
+    """Two random joint states of one dim, each anywhere on manifolds N <= dim - 1."""
+    dim = draw(st.integers(1, 24))
+    mask = complete_manifolds(dim)
     parts = st.floats(-1.0, 1.0, allow_nan=False)
     pair = []
     for _ in range(2):
         br = np.zeros((4, dim), dtype=complex)
-        br[:, :dim - 2] = np.array(
-            [[complex(draw(parts), draw(parts)) for _ in range(dim - 2)] for _ in range(4)])
+        br[mask] = [complex(draw(parts), draw(parts)) for _ in range(mask.sum())]
         assume(np.linalg.norm(br) > 1e-3)
         pair.append(JointState(br / np.linalg.norm(br)))
     return pair
@@ -158,10 +163,47 @@ def test_eg_ge_exchange_symmetry():
         assert np.allclose(out.branches[[0, 2, 1, 3]], out_swapped.branches, atol=1e-13)
 
 
+def complete_manifold_states():
+    """|gg> (x) |7> at dim 8, plus random states on manifolds N <= dim - 1 at dims 1, 2, 3, 8."""
+    yield JointState.from_field(number_state(7, 8), "gg")
+    for dim in (1, 2, 3, 8):
+        for _ in range(5):
+            br = np.zeros((4, dim), dtype=complex)
+            mask = complete_manifolds(dim)
+            br[mask] = RNG.normal(size=mask.sum()) + 1j * RNG.normal(size=mask.sum())
+            yield JointState(br / np.linalg.norm(br))
+
+
+def test_evolution_at_dim_equals_a_wider_run_cut_back():
+    # H conserves N, so no amplitude on manifolds N <= dim - 1 reaches level dim
+    gts = np.array([0.0, 0.3, -2.5, 8.673, 40.0])
+    for state in complete_manifold_states():
+        dim = state.dim
+        wide = JointState(np.pad(state.branches, ((0, 0), (0, 4))))
+        exact = apply_propagator(wide, gts).branches
+        assert np.array_equal(apply_propagator(state, gts).branches, exact[..., :dim]), dim
+        assert not exact[..., dim:].any()
+        brute = evolve_oracle(wide, gts).branches
+        assert np.max(np.abs(evolve_oracle(state, gts).branches - brute[..., :dim])) <= 1e-12
+        assert np.max(np.abs(brute - exact)) <= 1e-12
+
+
+def cut_violation(label, level, amplitude, dim=8):
+    """|gg, 0> plus a small amplitude at (label, level), normalized."""
+    br = np.zeros((4, dim), dtype=complex)
+    br[GG, 0], br[label, level] = 1.0, amplitude
+    return JointState(br / np.linalg.norm(br))
+
+
 def test_headroom_violation_raises():
-    state = JointState.from_field(number_state(7, 8), "gg")
-    with pytest.raises(HeadroomError):
-        apply_propagator(state, 0.5)
+    # at dim 8, ee at level 6 and eg, ge at level 7 lie on manifold 8, just past the cut
+    for label, level in ((EE, 6), (EG, 7), (GE, 7)):
+        with pytest.raises(HeadroomError):
+            apply_propagator(cut_violation(label, level, 1e-6), 0.5)
+        apply_propagator(cut_violation(label, level, 1e-13), 0.5)   # within HEADROOM_TOL
+    # their neighbours eg, ge at level 6 and gg at level 7 lie on manifold 7, inside it
+    for label, level in ((EG, 6), (GE, 6), (GG, 7)):
+        apply_propagator(cut_violation(label, level, 1e-6), 0.5)
 
 
 def test_joint_state_shape_and_norm_checks():

@@ -58,8 +58,10 @@ def test_bell1_plan_rejects_small_m():
 
 
 def test_bell1_plan_rejects_small_dim():
-    with pytest.raises(ValueError):
-        bell1_plan(30, 0.0, dim=33)
+    # |gg, m + 2> lies on manifold m + 2, so dim m + 3 is exact and m + 2 cuts the support
+    with pytest.raises(ValueError, match="dim 32 too small"):
+        bell1_plan(30, 0.0, dim=32)
+    assert bell1_plan(30, 0.0, dim=33).field.dim == 33
 
 
 @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])

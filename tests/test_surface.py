@@ -15,7 +15,10 @@ DELETED_NAMES = ("propagator_matrix", "excitation_operator", "NegativeBranchSear
                  "density_from_json", "DEFAULT_TOLERANCES", "_parser", "ScanSpec",
                  "BLOCK_ENTRIES")
 DELETED_MEMBERS = (("FieldState", "from_json"), ("FieldState", "norm"),
-                   ("PathComparison", "to_json"))
+                   ("PathComparison", "to_json"), ("FieldState", "has_headroom"))
+#: dataclass fields removed because no caller read them
+DELETED_FIELDS = (("Bell2Plan", "predicted_w"), ("PathComparison", "density_argmax"),
+                  ("PathComparison", "gt"))
 
 
 def test_every_exported_name_resolves_once():
@@ -29,14 +32,17 @@ def test_removed_api_is_not_importable():
     assert not set(DELETED_NAMES) & set(tcqubits.__all__)
     for cls, member in DELETED_MEMBERS:
         assert not hasattr(getattr(tcqubits, cls), member), f"{cls}.{member}"
-    assert "predicted_w" not in {f.name for f in dataclasses.fields(tcqubits.Bell2Plan)}
+    for cls, field in DELETED_FIELDS:
+        assert field not in {f.name for f in dataclasses.fields(getattr(tcqubits, cls))}
+    # the truncation rule and its tolerance live in propagator alone
+    assert [m for m in MODULES
+            if hasattr(importlib.import_module(f"tcqubits.{m}"), "HEADROOM_TOL")] == ["propagator"]
 
 
 def test_fixed_tolerances_take_no_argument():
     # every caller used the module constant, so none of these is settable
-    checks = (tcqubits.FieldState.has_headroom, propagator.ensure_headroom,
-              tcqubits.neighbor_product_zero, tcqubits.XStateElements.validate,
-              tcqubits.check_density)
+    checks = (propagator.ensure_headroom, tcqubits.neighbor_product_zero,
+              tcqubits.XStateElements.validate, tcqubits.check_density)
     assert [f.__name__ for f in checks if "tol" in inspect.signature(f).parameters] == []
 
 
