@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
@@ -250,16 +251,29 @@ def cmd_validate(args) -> int:
     return 0 if passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes every negative float() form and '-pi' phase as a value.
+
+    argparse's own test knows only the '-1' and '-.5' forms, so '-1e-3',
+    '-inf' and '-pi/2' would read as options. Subparsers take the class
+    of the parser that adds them.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan|-pi", re.IGNORECASE)
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parse_args keeps no state between calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tcqubits",
         description="Two-qubit resonant cavity dynamics and Bell/Werner preparation planner")
     sub = parser.add_subparsers(dest="command", required=True)
-    output = argparse.ArgumentParser(add_help=False)
+    output = _Parser(add_help=False)
     output.add_argument("--out", default="-", help="output path or '-' for stdout")
-    plan_opts = argparse.ArgumentParser(add_help=False, parents=[output])
+    plan_opts = _Parser(add_help=False, parents=[output])
     plan_opts.add_argument("--tol", type=float, default=None,
                            help="verification tolerance (default: the protocol's own)")
 

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 NORM_TOL = 1e-12
+#: Smallest norm whose square is a normal float; below it the squares
+#: summed inside np.linalg.norm are subnormal or zero and lose digits.
+_SQUARES_NORMAL = math.sqrt(np.finfo(float).tiny)
 
 
 def _json_complex(values):
@@ -64,8 +67,9 @@ def number_state(n: int, dim: int) -> FieldState:
 def superpose(terms, dim: int) -> FieldState:
     """Superposition sum_k coeff_k |n_k> from (n, coefficient) pairs, rescaled to unit norm.
 
-    Coefficient phases are preserved. Finite coefficients whose norm
-    overflows are scaled down first.
+    Coefficient phases are preserved. Finite, nonzero coefficients whose
+    squares overflow or underflow inside the norm are scaled by their
+    largest component first; every other recipe is divided by its norm alone.
     """
     amp = np.zeros(dim, dtype=complex)
     for n, coeff in terms:
@@ -76,8 +80,9 @@ def superpose(terms, dim: int) -> FieldState:
         raise ValueError("superposition coefficients must be finite")
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(amp)
-    if norm == np.inf:
-        amp /= np.max(np.abs(amp.view(float)))
+    if amp.any() and not _SQUARES_NORMAL <= norm < np.inf:
+        parts = amp.view(float)   # real division: 1 / scale overflows for a subnormal scale
+        parts /= np.max(np.abs(parts))
         norm = np.linalg.norm(amp)
     if norm == 0.0:
         raise ValueError("superposition has all-zero coefficients")

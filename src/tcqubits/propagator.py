@@ -146,13 +146,12 @@ def _h_action(branches: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coefficients(dim: int, gts: np.ndarray):
-    """(f1, f2) = (-iB/sqrt(C), (A - 1)/C) at abc(N - 1, gt), (T, dim + 2) each.
+def _coefficients(manifolds: np.ndarray, gts: np.ndarray):
+    """(f1, f2) = (-iB/sqrt(C), (A - 1)/C) at abc(N - 1, gt), (T, K) each for K manifolds N.
 
-    Column N serves manifold N. H vanishes on manifold 0, so its column
-    repeats manifold 1's.
+    H vanishes on manifold 0, so its coefficients repeat manifold 1's.
     """
-    A, B, C = abc(np.maximum(np.arange(-1.0, dim + 1.0), 0.0), gts[:, None])
+    A, B, C = abc(np.maximum(manifolds - 1.0, 0.0), gts[:, None])
     return -1j * B / np.sqrt(C), (A - 1.0) / C
 
 
@@ -160,7 +159,7 @@ def _apply_raw(branches: np.ndarray, gts: np.ndarray) -> np.ndarray:
     """Evolution operator action on raw (4, dim) branches at T times: (T, 4, dim), no guards."""
     h1 = _h_action(branches)
     h2 = _h_action(h1)
-    f1, f2 = _coefficients(branches.shape[1], gts)
+    f1, f2 = _coefficients(np.arange(branches.shape[1] + 2), gts)   # column N: manifold N
     manifold = np.arange(branches.shape[1]) + np.array(QUBIT_EXC)[:, None]
     return branches + f1[:, manifold] * h1 + f2[:, manifold] * h2
 

@@ -6,9 +6,12 @@ test suite: closed-form element sums valid for the initial qubit state
 trace over the field for any joint state. The element sums are the Gram
 sums of the rows of U|gg, c>, with U = 1 + f1 H + f2 H^2 the propagator
 module's closed form: ee = f2 (H^2 c), eg = ge = f1 (H c) and
-gg = c + f2 (H^2 c). A vector of T times is one batched evaluation, not
-split into blocks, so its temporaries are O(T*dim). Density matrices are
-plain 4x4 complex arrays in the basis order (ee, eg, ge, gg).
+gg = c + f2 (H^2 c). The sums keep only the Fock levels where c, H c or
+H^2 c can be nonzero, S, S - 1 and S - 2 for the support S of c, and take
+f1 and f2 on the manifolds those levels span. A vector of T times is one
+batched evaluation, not split into blocks, so its temporaries are
+O(T * levels). Density matrices are plain 4x4 complex arrays in the basis
+order (ee, eg, ge, gg).
 """
 
 from __future__ import annotations
@@ -77,10 +80,11 @@ class XStateElements:
 def analytic_elements(field: FieldState, gt) -> XStateElements:
     """Closed-form reduced-matrix elements for initial |g>|g> (x) field.
 
-    Finite sums over the truncated field support. gt is a scalar (scalar
-    elements) or a 1-D vector of T times (length-T element arrays); a
-    scalar runs as a batch of one. The whole vector is one kernel call, so
-    its temporaries are O(T*dim); a caller bounds memory by the T it passes.
+    Finite sums over the field's support and the two levels below each
+    of its levels. gt is a scalar (scalar elements) or a 1-D vector of T
+    times (length-T element arrays); a scalar runs as a batch of one. The
+    whole vector is one kernel call, so its temporaries are O(T * levels);
+    a caller bounds memory by the T it passes.
     """
     gts = np.asarray(gt, dtype=float)
     if gts.ndim > 1:
@@ -94,21 +98,28 @@ def analytic_elements(field: FieldState, gt) -> XStateElements:
 def _element_sums(c: np.ndarray, times: np.ndarray):
     """(v_plus, v_minus, w, h_plus, h_minus, mu), each of length T, for amplitudes c.
 
-    H c fills only the eg and ge rows (equal), H^2 c only ee and gg.
-    Column N of the coefficients serves manifold N = n + excited qubits,
-    so each row takes a shifted slice. Slices, unlike a fancy index,
-    keep every (T, dim) factor row-major, so each row sums pairwise
-    exactly as a batch of one does.
+    H c fills only the eg and ge rows (equal), H^2 c only ee and gg. The
+    sums run over the levels where c, H c or H^2 c can be nonzero: S,
+    S - 1 and S - 2 for the support S of c. Row ee at level n lies on
+    manifold n + 2, eg on n + 1 and gg on n, so the coefficients are
+    evaluated on the manifolds from the lowest level to the highest + 2
+    alone. np.take, unlike a fancy index, keeps every (T, levels) factor
+    row-major, so each row sums pairwise exactly as a batch of one does.
     """
-    dim = c.size
-    psi = np.zeros((4, dim), dtype=complex)
+    psi = np.zeros((4, c.size), dtype=complex)
     psi[GG] = c
     h1 = _h_action(psi)
     h2 = _h_action(h1)
-    f1, f2 = _coefficients(dim, times)
-    ee = f2[:, 2:] * h2[EE]
-    eg = f1[:, 1:dim + 1] * h1[EG]
-    gg = c + f2[:, :dim] * h2[GG]
+    nonzero = c != 0
+    near = nonzero.copy()
+    near[:-1] |= nonzero[1:]
+    near[:-2] |= nonzero[2:]
+    levels = np.flatnonzero(near)
+    f1, f2 = _coefficients(np.arange(levels[0], levels[-1] + 3), times)
+    cols = levels - levels[0]   # column k holds manifold levels[0] + k
+    ee = f2.take(cols + 2, axis=1) * h2[EE, levels]
+    eg = f1.take(cols + 1, axis=1) * h1[EG, levels]
+    gg = c[levels] + f2.take(cols, axis=1) * h2[GG, levels]
     v_plus = np.sum(np.abs(ee) ** 2, axis=-1)
     v_minus = np.sum(np.abs(gg) ** 2, axis=-1)
     w = np.sum(np.abs(eg) ** 2, axis=-1)

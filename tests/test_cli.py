@@ -187,6 +187,14 @@ def test_scan_overflowing_recipes(capsys):
     assert big == run_cli(["scan", "--field", "1:1,0;3:1,0", *args], capsys)[1]
 
 
+def test_scan_underflowing_recipes(capsys):
+    args = ["--dim", "8", "--gt-max", "3", "--steps", "7"]
+    for tiny, unit in (("1:1e-170,0", "1:1,0"), ("1:1e-170,0;3:0,1e-170", "1:1,0;3:0,1")):
+        code, out, err = run_cli(["scan", "--field", tiny, *args], capsys)
+        assert (code, err) == (0, "")
+        assert out == run_cli(["scan", "--field", unit, *args], capsys)[1]
+
+
 @pytest.mark.parametrize("recipe", ["0:nan,0", "even-coherent:nan"])
 def test_scan_nan_recipe_exits_2(recipe, capsys):
     code, _, err = run_cli(["scan", "--field", recipe, "--gt-max", "1"], capsys)
@@ -343,6 +351,28 @@ def test_negative_tol_exits_2(command, capsys):
     assert_one_line_usage_error(code, out, err)
     assert err.strip() == "error: --tol must be >= 0"
     assert run_cli([*command, "--tol", "0"], capsys)[0] in (0, 1)
+
+
+@pytest.mark.parametrize("value, message", [("-1e-3", "must be >= 0"), ("-1E+2", "must be >= 0"),
+                                            ("-inf", "must be finite")])
+def test_negative_exponent_forms_reach_the_tol_checks(value, message, capsys):
+    # argparse alone takes only '-1' and '-.5' forms as values
+    code, out, err = run_cli(["plan", "bell2", "--tol", value], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err.strip() == f"error: --tol {message}"
+
+
+def test_negative_pi_phase_follows_its_flag(capsys):
+    code, out, err = run_cli(["plan", "bell1", "--m", "30", "--phi", "-pi/2"], capsys)
+    assert (code, err) == (0, "")
+    assert out == run_cli(["plan", "bell1", "--m", "30", "--phi=-pi/2"], capsys)[1]
+
+
+def test_scan_takes_a_negative_exponent_window(capsys):
+    code, out, err = run_cli(["scan", "--field", "vacuum", "--gt-min", "-1e-3", "--gt-max", "1",
+                              "--steps", "2"], capsys)
+    assert (code, err) == (0, "")
+    assert [row["gt"] for row in parse_csv(out)[1]] == [-1e-3, 1.0]
 
 
 def test_plan_werner_infinite_gt_max_exits_2(capsys):

@@ -148,6 +148,14 @@ def test_constructors_handle_overflowing_inputs():
         coherent_state(1e200, 16, parity="even")
 
 
+@pytest.mark.parametrize("scale", [1e-155, 1e-158, 1e-170, 1e-320])
+def test_constructors_handle_underflowing_inputs(scale):
+    # squares below the smallest normal float lose digits or flush to zero
+    # inside the norm, so these are scaled up first, with no warning
+    tiny = superpose([(1, scale), (3, scale * 1j)], dim=8)
+    assert np.array_equal(tiny.amplitudes, superpose([(1, 1.0), (3, 1j)], dim=8).amplitudes)
+
+
 def test_field_json_encoding():
     s = superpose([(2, 1j), (5, -2.0)], dim=8)
     data = s.to_json()

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from tcqubits import (JointState, analytic_elements, apply_propagator, assemble_
                       first_concurrence_peak, partial_trace, singlet_vector, superpose,
                       target, verify_plan, werner_forward_elements, werner_solve)
 from tcqubits.protocols import (NEGATIVE_BRANCH_REFERENCE_SEEDS, WERNER_PERIOD,
-                                golden_section_max, negative_branch_curve,
-                                negative_branch_residuals)
+                                _concurrence_at, _refine_peak, golden_section_max,
+                                negative_branch_curve, negative_branch_residuals)
 
 RNG = np.random.default_rng(77)
 
@@ -22,6 +23,28 @@ def test_golden_section_max_quadratic():
     x, fx = golden_section_max(lambda t: -(t - 2.0) ** 2 + 5.0, 0.0, 5.0)
     assert x == pytest.approx(2.0, abs=1e-6)
     assert fx == pytest.approx(5.0, abs=1e-12)
+
+
+def test_refine_peak_quadratic_and_bracket_edge():
+    x, fx = _refine_peak(lambda t: -(t - 2.0) ** 2 + 5.0, 0.0, 5.0)
+    assert x == pytest.approx(2.0, abs=1e-6)
+    assert fx == pytest.approx(5.0, abs=1e-12)
+    x, fx = _refine_peak(lambda t: t, 0.0, 1.0)   # a maximum on the bracket's end
+    assert 1.0 - 1e-10 <= x <= 1.0 and fx == x
+
+
+@pytest.mark.parametrize("m", [4, 30, 300, 2000])
+def test_batched_refinement_matches_golden_section(m):
+    # the concurrence is flat to round-off within ~1e-8 of its peak, so
+    # neither search places it more finely than that
+    plan = bell1_plan(m, 0.0)
+    half = min(0.1, math.pi / (4.0 * math.sqrt(4.0 * m + 6.0)))
+    lo, hi = plan.gt1 - half, plan.gt1 + half
+    gt_peak, peak = _refine_peak(partial(_concurrence_at, plan.field), lo, hi)
+    gt_ref, peak_ref = golden_section_max(
+        lambda t: concurrence(assemble_density(analytic_elements(plan.field, t))), lo, hi)
+    assert abs(peak - peak_ref) <= 1e-15
+    assert abs(gt_peak - gt_ref) <= 5e-9
 
 
 # --- first-class Bell plan --------------------------------------------------
@@ -119,6 +142,18 @@ def test_bell1_first_peak_even_m_property():
         assert c_pk >= q - 1e-6
 
 
+@pytest.mark.parametrize("m, gt_ref, peak_ref", [
+    (30, 8.67617203111992, 0.9998738351679213),
+    (40, 9.997248455840476, 0.9999273600083827),
+])
+def test_first_concurrence_peak_keeps_the_acceptance_peaks(m, gt_ref, peak_ref):
+    # the golden-section figures of acceptance criterion 2
+    plan = bell1_plan(m, math.pi)
+    gt_peak, peak = first_concurrence_peak(plan.field, plan.gt1 + 0.5, 0.999)
+    assert abs(gt_peak - gt_ref) <= 5e-9
+    assert abs(peak - peak_ref) <= 1e-15
+
+
 def test_verify_bell1():
     report = verify_plan(bell1_plan(30, math.pi))
     assert report.passed
@@ -135,6 +170,16 @@ def test_verify_bell1_refines_to_the_main_peak(m):
     # peak scores far worse (20 instead of 1/4 at m = 1000)
     report = bell1_plan(m, 0.0).verify()
     assert abs((1.0 - report.fidelity) * (2 * m + 3) ** 2 - 0.25) <= 1e-3
+
+
+@pytest.mark.parametrize("phi", [0.0, 2.0])
+def test_bell1_infidelity_law_sharpens_with_m(phi):
+    # the predicted elements give F = (1 + sqrt(q)) / 2 with q = 1 - 1/(2m+3)^2,
+    # so (1 - F)(2m + 3)^2 falls to 1/4 from above as m grows
+    law = [(1.0 - verify_plan(bell1_plan(m, phi)).fidelity) * (2 * m + 3) ** 2
+           for m in (30, 100, 300, 1000, 2000)]
+    assert all(0.25 <= value <= 0.2505 for value in law), law
+    assert law == sorted(law, reverse=True), law
 
 
 def test_bell1_fidelity_at_nominal_time():

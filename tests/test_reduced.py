@@ -68,6 +68,19 @@ def test_analytic_equals_partial_trace():
         assert np.max(np.abs(analytic_rho(f, gt) - pipeline_rho(f, gt))) <= 1e-10
 
 
+@pytest.mark.parametrize("field", [
+    superpose([(0, 0.6), (1, 0.8j)], 12),     # levels S - 1 and S - 2 fall below 0
+    superpose([(9, 1.0), (11, -1j)], 12),     # support at dim - 1
+    number_state(11, 12),
+    number_state(0, 8),
+    coherent_state(4.0, 64, parity="even"),
+    superpose(list(enumerate(RNG.normal(size=24) + 1j * RNG.normal(size=24))), 24),
+], ids=["levels-0-1", "pair-at-top", "top-level", "vacuum", "even-cat", "full-support"])
+def test_sparse_sums_equal_partial_trace(field):
+    gts = np.linspace(0.0, 12.0, 57)
+    assert np.max(np.abs(analytic_rho(field, gts) - pipeline_rho(field, gts))) <= 1e-12
+
+
 def test_partial_trace_product_state():
     f = random_field()
     rho = partial_trace(JointState.from_field(f, "gg"))
