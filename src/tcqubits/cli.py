@@ -185,7 +185,8 @@ def cmd_scan(args) -> int:
             else:
                 if start == 0:
                     out.write(",".join(cols) + "\n")
-                out.write("".join(",".join(map(_fmt, row)) + "\n" for row in table))
+                row_format = ",".join(["%.17g"] * len(cols)) + "\n"   # "%.17g" % x == _fmt(x)
+                out.write("".join(row_format % row for row in table))
         if as_json:
             payload = {"recipe": args.field, "dim": args.dim, "gt_min": args.gt_min,
                        "gt_max": args.gt_max, "steps": args.steps, "rows": rows}
@@ -216,9 +217,10 @@ def cmd_validate(args) -> int:
     dim = args.dim
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    if dim < 33:
+        raise UsageError(
+            f"--dim {dim} too small for validate: the bell1-m30 preset needs dim >= 33")
     support = min(40, dim - 8)
-    if support < 1:
-        raise UsageError(f"--dim {dim} too small for random-field validation")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
     presets = {name: build_field(name, dim)[0] for name in ("bell1-m30", "single-photon", "werner")}

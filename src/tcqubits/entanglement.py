@@ -14,8 +14,6 @@ eigendecomposition otherwise:
 - fidelity: a pure target that carries its state vector (bell1, bell2)
   takes <psi|rho|psi>; a Werner target or a raw matrix takes the Uhlmann
   route through matrix square roots.
-
-Entanglement of formation is the binary-entropy function of concurrence.
 """
 
 from __future__ import annotations
@@ -119,17 +117,6 @@ def _yu_eberly(rho: np.ndarray) -> np.ndarray:
     return np.maximum(2.0 * np.maximum(a, b), 0.0)
 
 
-def eof(concurrence_value: float) -> float:
-    """Entanglement of formation E = h((1 + sqrt(1 - C^2)) / 2)."""
-    C = float(concurrence_value)
-    if not 0.0 <= C <= 1.0:
-        raise ValueError(f"concurrence {C} outside [0, 1]")
-    x = (1.0 + math.sqrt(1.0 - C * C)) / 2.0
-    if x in (0.0, 1.0):
-        return 0.0 if C == 0.0 else 1.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-
-
 @dataclass(frozen=True, eq=False)  # holds arrays: == is identity, hash is by id
 class TargetState:
     """A preparation target: kind, its parameter, the exact matrix and, for
@@ -163,16 +150,10 @@ def singlet_vector() -> np.ndarray:
     return np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
 
-def werner_eta_from_k(k: float) -> float:
-    return (3.0 - 3.0 * k) / 4.0
-
-
-def target(kind: str, phi: float = 0.0, eta: float | None = None, k: float | None = None) -> TargetState:
+def target(kind: str, phi: float = 0.0, eta: float | None = None) -> TargetState:
     """Target density matrix for kind in {'bell1', 'bell2', 'werner'}.
 
-    bell1 takes the relative phase phi; werner takes either eta in [0, 1]
-    (primary) or the singlet weight k in [-1/3, 1], converted through
-    eta = (3 - 3k)/4.
+    bell1 takes the relative phase phi; werner takes eta in [0, 1].
     """
     if kind == "bell1":
         if not math.isfinite(phi):
@@ -183,12 +164,8 @@ def target(kind: str, phi: float = 0.0, eta: float | None = None, k: float | Non
         v = bell2_vector()
         return TargetState("bell2", 0.0, np.outer(v, v.conj()), v)
     if kind == "werner":
-        if eta is None and k is None:
-            raise ValueError("werner target needs eta or k")
         if eta is None:
-            if not -1.0 / 3.0 <= k <= 1.0:
-                raise ValueError(f"k = {k} outside [-1/3, 1]")
-            eta = werner_eta_from_k(k)
+            raise ValueError("werner target needs eta")
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"eta = {eta} outside [0, 1]")
         d = eta / 3.0

@@ -126,14 +126,3 @@ def coherent_state(alpha: complex, dim: int, parity: str = "any") -> FieldState:
         raise ValueError(f"no amplitude left after {parity}-parity projection")
     return FieldState(amp / norm)
 
-
-def neighbor_product_zero(state: FieldState) -> bool:
-    """True iff max_n |c_n * c_{n+1}| <= 1e-12.
-
-    Fields with this property drive the qubit pair to X-type density
-    matrices at every time.
-    """
-    c = state.amplitudes
-    if c.size < 2:
-        return True
-    return bool(np.max(np.abs(c[:-1] * c[1:])) <= 1e-12)

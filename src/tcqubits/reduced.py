@@ -3,14 +3,19 @@
 Two independent computation routes are provided and cross-checked in the
 test suite: closed-form element sums valid for the initial qubit state
 |g>|g> (analytic_elements + assemble_density), and a generic partial
-trace over the field for any joint state. The element sums are the Gram
-sums of the rows of U|gg, c>, with U = 1 + f1 H + f2 H^2 the propagator
-module's closed form: ee = f2 (H^2 c), eg = ge = f1 (H c) and
-gg = c + f2 (H^2 c). The sums keep only the Fock levels where c, H c or
-H^2 c can be nonzero, S, S - 1 and S - 2 for the support S of c, and take
-f1 and f2 on the manifolds those levels span. A vector of T times is one
+trace over the field for any joint state. U conserves excitation number,
+so U|gg, N> stays on manifold N. With the propagator module's closed form
+U = 1 + f1 H + f2 H^2 there, it is
+
+    g |gg, N> - i h (|eg, N - 1> + |ge, N - 1>) + e |ee, N - 2>,
+    g = 1 + 2N f2,  h = B sqrt(N / C),  e = 2 sqrt(N(N - 1)) f2,
+
+with f2 = (A - 1)/C and (A, B, C) = abc(N - 1, gt), all three factors
+real. Each element is a real-weighted sum of |c_N|^2, c_N conj(c_{N+1})
+or c_N conj(c_{N+2}) over the field's support S, so the factors are
+evaluated on the |S| support manifolds alone. A vector of T times is one
 batched evaluation, not split into blocks, so its temporaries are
-O(T * levels). Density matrices are plain 4x4 complex arrays in the basis
+O(T * |S|). Density matrices are plain 4x4 complex arrays in the basis
 order (ee, eg, ge, gg).
 """
 
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FieldState, _json_complex
-from .propagator import BASIS, EE, EG, GG, JointState, _coefficients, _h_action
+from .propagator import BASIS, JointState, abc
 
 DENSITY_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
@@ -80,11 +85,11 @@ class XStateElements:
 def analytic_elements(field: FieldState, gt) -> XStateElements:
     """Closed-form reduced-matrix elements for initial |g>|g> (x) field.
 
-    Finite sums over the field's support and the two levels below each
-    of its levels. gt is a scalar (scalar elements) or a 1-D vector of T
-    times (length-T element arrays); a scalar runs as a batch of one. The
-    whole vector is one kernel call, so its temporaries are O(T * levels);
-    a caller bounds memory by the T it passes.
+    Finite sums over the manifolds of the field's support S. gt is a
+    scalar (scalar elements) or a 1-D vector of T times (length-T element
+    arrays); a scalar runs as a batch of one. The whole vector is one
+    kernel call, so its temporaries are O(T * |S|); a caller bounds
+    memory by the T it passes.
     """
     gts = np.asarray(gt, dtype=float)
     if gts.ndim > 1:
@@ -98,34 +103,37 @@ def analytic_elements(field: FieldState, gt) -> XStateElements:
 def _element_sums(c: np.ndarray, times: np.ndarray):
     """(v_plus, v_minus, w, h_plus, h_minus, mu), each of length T, for amplitudes c.
 
-    H c fills only the eg and ge rows (equal), H^2 c only ee and gg. The
-    sums run over the levels where c, H c or H^2 c can be nonzero: S,
-    S - 1 and S - 2 for the support S of c. Row ee at level n lies on
-    manifold n + 2, eg on n + 1 and gg on n, so the coefficients are
-    evaluated on the manifolds from the lowest level to the highest + 2
-    alone. np.take, unlike a fancy index, keeps every (T, levels) factor
-    row-major, so each row sums pairwise exactly as a batch of one does.
+    The real factors e, g and h of the module docstring are taken on the
+    support manifolds S of c alone. v_plus, v_minus and w weigh |c_N|^2 by
+    e^2, g^2 and h^2; h_plus, h_minus and mu weigh the products
+    c_N conj(c_{N+d}) by -i h(N) e(N+1), i g(N) h(N+1) and g(N) e(N+2) over
+    the pairs with both levels in S, as two real row sums each. np.take,
+    unlike a fancy index, keeps every product row-major, so each row sums
+    pairwise exactly as a batch of one does.
     """
-    psi = np.zeros((4, c.size), dtype=complex)
-    psi[GG] = c
-    h1 = _h_action(psi)
-    h2 = _h_action(h1)
-    nonzero = c != 0
-    near = nonzero.copy()
-    near[:-1] |= nonzero[1:]
-    near[:-2] |= nonzero[2:]
-    levels = np.flatnonzero(near)
-    f1, f2 = _coefficients(np.arange(levels[0], levels[-1] + 3), times)
-    cols = levels - levels[0]   # column k holds manifold levels[0] + k
-    ee = f2.take(cols + 2, axis=1) * h2[EE, levels]
-    eg = f1.take(cols + 1, axis=1) * h1[EG, levels]
-    gg = c[levels] + f2.take(cols, axis=1) * h2[GG, levels]
-    v_plus = np.sum(np.abs(ee) ** 2, axis=-1)
-    v_minus = np.sum(np.abs(gg) ** 2, axis=-1)
-    w = np.sum(np.abs(eg) ** 2, axis=-1)
-    h_plus = np.sum(eg * ee.conj(), axis=-1)
-    h_minus = np.sum(gg * eg.conj(), axis=-1)
-    mu = np.sum(gg * ee.conj(), axis=-1)
+    levels = np.flatnonzero(c)
+    n = levels.astype(float)
+    A, B, C = abc(np.maximum(n - 1.0, 0.0), times[:, None])
+    f2 = (A - 1.0) / C
+    E, G, H = range(3)   # rows of factors, (T, 3, |S|)
+    factors = np.stack([2.0 * np.sqrt(n * (n - 1.0)) * f2, 1.0 + 2.0 * n * f2,
+                        B * np.sqrt(n / C)], axis=1)
+    v_plus, v_minus, w = np.sum(factors * factors * np.abs(c[levels]) ** 2, axis=-1).T
+    column = np.full(c.size + 2, -1)   # column of level N in factors, -1 off S
+    column[levels] = np.arange(levels.size)
+
+    def pair_sums(d, left, right, phases):
+        """Per row pair: phase * sum of left(N) right(N + d) c_N conj(c_{N+d}), N and N + d in S."""
+        j = column[levels + d]
+        i = np.flatnonzero(j >= 0)
+        j = j[i]
+        q = c[levels[i]] * c[levels[j]].conj()
+        parts = np.array([[(p * q).real, (p * q).imag] for p in phases])   # (rows, 2, pairs)
+        r = factors.take(left, axis=1).take(i, axis=2) * factors.take(right, axis=1).take(j, axis=2)
+        return np.sum(r[:, :, None] * parts, axis=-1).view(complex)[..., 0].T
+
+    h_plus, h_minus = pair_sums(1, [H, G], [E, H], [complex(0, -1), complex(0, 1)])
+    (mu,) = pair_sums(2, [G], [E], [1.0])
     return v_plus, v_minus, w, h_plus, h_minus, mu
 
 

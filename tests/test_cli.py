@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 
 from tcqubits import (analytic_elements, assemble_density, concurrence, density_to_json,
                       fidelity, target)
+from tcqubits import cli
 from tcqubits.cli import SCAN_CHUNK, build_field, main, parse_phase
 
 
@@ -106,6 +108,32 @@ def test_scan_rows_across_chunks_match_scalar_calls(capsys):
         values = [gt, e.v_plus, e.v_minus, e.w, e.mu.real, e.mu.imag, e.h_plus.real,
                   e.h_plus.imag, e.h_minus.real, e.h_minus.imag,
                   concurrence(rho), fidelity(rho, target("bell2"))]
+        assert line == ",".join(f"{v:.17g}" for v in values)
+
+
+def test_scan_csv_keeps_the_sign_of_zero(monkeypatch, capsys):
+    # an X-type field's h_plus is exactly zero; negated it is -0.0 in both parts,
+    # next to the +0.0 of h_minus, and each keeps its own text
+    def negated_h_plus(field, gt):
+        e = analytic_elements(field, gt)
+        return dataclasses.replace(e, h_plus=-e.h_plus)
+
+    monkeypatch.setattr(cli, "analytic_elements", negated_h_plus)
+    steps = SCAN_CHUNK + 3
+    code, out, _ = run_cli(["scan", "--field", "even-coherent:2", "--dim", "32",
+                            "--gt-max", "6", "--steps", str(steps)], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == steps + 1
+    fields = [ln.split(",") for ln in lines[1:]]
+    assert {f[6] for f in fields} == {f[7] for f in fields} == {"-0"}
+    assert {f[8] for f in fields} == {f[9] for f in fields} == {"0"}
+    fld, _ = build_field("even-coherent:2", 32)
+    for gt, line in zip(np.linspace(0.0, 6.0, steps), lines[1:]):
+        e = negated_h_plus(fld, float(gt))
+        values = [gt, e.v_plus, e.v_minus, e.w, e.mu.real, e.mu.imag, e.h_plus.real,
+                  e.h_plus.imag, e.h_minus.real, e.h_minus.imag,
+                  concurrence(assemble_density(e))]
         assert line == ",".join(f"{v:.17g}" for v in values)
 
 
@@ -418,6 +446,14 @@ def test_validate_deterministic(capsys, tmp_path):
 def test_validate_tiny_dim_exits_2(capsys):
     code, _, err = run_cli(["validate", "--dim", "4", "--trials", "1"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("dim", [9, 12, 32])
+def test_validate_names_the_dim_the_presets_need(dim, capsys):
+    code, out, err = run_cli(["validate", "--dim", str(dim), "--trials", "1"], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err.strip() == (f"error: --dim {dim} too small for validate: "
+                           "the bell1-m30 preset needs dim >= 33")
 
 
 def test_scan_writes_file(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tcqubits import (analytic_elements, assemble_density, bell1_vector, bell2_vector,
-                      concurrence, concurrence_wootters, concurrence_x_state, eof, fidelity,
-                      is_x_type, singlet_vector, superpose, target, werner_eta_from_k)
+                      concurrence, concurrence_wootters, concurrence_x_state, fidelity,
+                      is_x_type, singlet_vector, superpose, target)
 
 RNG = np.random.default_rng(55)
 
@@ -82,29 +82,6 @@ def test_concurrence_in_unit_interval():
         assert 0.0 <= c <= 1.0
 
 
-def test_eof_endpoints():
-    assert eof(0.0) == 0.0
-    assert eof(1.0) == 1.0
-
-
-def test_eof_half():
-    # frozen from direct evaluation of the binary-entropy formula
-    assert eof(0.5) == pytest.approx(0.3545790, abs=1e-6)
-
-
-def test_eof_monotone():
-    grid = np.linspace(0.01, 1.0, 200)
-    vals = [eof(float(c)) for c in grid]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_eof_range_check():
-    with pytest.raises(ValueError):
-        eof(1.2)
-    with pytest.raises(ValueError):
-        eof(-0.1)
-
-
 def test_bell1_target_corners():
     t = target("bell1", phi=0.0)
     assert t.matrix[0, 0] == pytest.approx(0.5)
@@ -132,18 +109,15 @@ def test_werner_eta_one_matrix():
     assert t.vector is None
 
 
-def test_werner_k_one_is_singlet():
-    t = target("werner", k=1.0)
+def test_werner_eta_zero_is_singlet():
+    t = target("werner", eta=0.0)
     psi = singlet_vector()
     assert np.allclose(t.matrix, np.outer(psi, psi.conj()), atol=1e-15)
-    assert werner_eta_from_k(1.0) == 0.0
 
 
 def test_werner_parameter_range():
     with pytest.raises(ValueError):
         target("werner", eta=1.2)
-    with pytest.raises(ValueError):
-        target("werner", k=-0.5)
     with pytest.raises(ValueError):
         target("werner")
 

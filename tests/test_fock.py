@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tcqubits import FieldState, coherent_state, neighbor_product_zero, number_state, superpose
+from tcqubits import FieldState, coherent_state, number_state, superpose
 
 
 def test_number_state_vacuum():
@@ -104,18 +104,6 @@ def test_coherent_truncation_too_small():
 def test_coherent_bad_parity():
     with pytest.raises(ValueError):
         coherent_state(2, 64, parity="weird")
-
-
-def test_neighbor_product_zero_even_coherent():
-    assert neighbor_product_zero(coherent_state(2, 64, parity="even"))
-
-
-def test_neighbor_product_zero_next_nearest_pair():
-    assert neighbor_product_zero(superpose([(30, 1), (32, 1)], dim=64))
-
-
-def test_neighbor_product_zero_adjacent_pair():
-    assert not neighbor_product_zero(superpose([(3, 1), (4, 1)], dim=8))
 
 
 def test_constructors_normalized():

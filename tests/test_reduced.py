@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from tcqubits import (JointState, XStateElements, analytic_elements, apply_propagator,
-                      assemble_density, check_density, coherent_state, density_to_json,
-                      is_x_type, number_state, partial_trace, superpose)
+                      assemble_density, bell1_plan, check_density, coherent_state,
+                      density_to_json, is_x_type, number_state, partial_trace, reduced,
+                      superpose)
 
 RNG = np.random.default_rng(918273)
 
@@ -68,17 +69,44 @@ def test_analytic_equals_partial_trace():
         assert np.max(np.abs(analytic_rho(f, gt) - pipeline_rho(f, gt))) <= 1e-10
 
 
+def random_amplitudes(levels, rng=RNG):
+    return list(zip(levels, rng.normal(size=len(levels)) + 1j * rng.normal(size=len(levels))))
+
+
 @pytest.mark.parametrize("field", [
-    superpose([(0, 0.6), (1, 0.8j)], 12),     # levels S - 1 and S - 2 fall below 0
+    superpose([(0, 0.6), (1, 0.8j)], 12),     # e vanishes on both levels, h on level 0
+    superpose([(6, 0.6 - 0.2j), (7, -0.5 + 0.6j)], 12),   # h_plus and h_minus pairs only
+    superpose([(6, 0.6 + 0.3j), (8, -0.5j)], 12),         # one mu pair only
     superpose([(9, 1.0), (11, -1j)], 12),     # support at dim - 1
     number_state(11, 12),
     number_state(0, 8),
     coherent_state(4.0, 64, parity="even"),
-    superpose(list(enumerate(RNG.normal(size=24) + 1j * RNG.normal(size=24))), 24),
-], ids=["levels-0-1", "pair-at-top", "top-level", "vacuum", "even-cat", "full-support"])
+    superpose(random_amplitudes(range(24)), 24),
+    superpose(random_amplitudes([0, 1, 3, 4, 5, 8, 10, 13, 14, 17, 19, 22, 23]), 24),
+], ids=["levels-0-1", "adjacent-only", "gap-of-two", "pair-at-top", "top-level", "vacuum",
+        "even-cat", "full-support", "mixed-gaps-to-top"])
 def test_sparse_sums_equal_partial_trace(field):
     gts = np.linspace(0.0, 12.0, 57)
     assert np.max(np.abs(analytic_rho(field, gts) - pipeline_rho(field, gts))) <= 1e-12
+
+
+@pytest.mark.parametrize("field, manifolds", [
+    (coherent_state(6.6, 192, parity="even"), 96),
+    (bell1_plan(30, math.pi).field, 2),
+], ids=["even-cat-dim-192", "bell1-m30"])
+def test_coefficients_are_taken_on_the_support_manifolds_only(field, manifolds, monkeypatch):
+    seen = []
+    abc = reduced.abc
+
+    def recording_abc(n, gt):
+        seen.append(np.shape(n))
+        return abc(n, gt)
+
+    monkeypatch.setattr(reduced, "abc", recording_abc)
+    assert np.count_nonzero(field.amplitudes) == manifolds
+    analytic_elements(field, np.linspace(0.0, 12.0, 9))
+    analytic_elements(field, 0.7)
+    assert seen == [(manifolds,)] * 2
 
 
 def test_partial_trace_product_state():
@@ -238,6 +266,16 @@ def test_long_batch_matches_scalar_calls():
     gts = np.linspace(0.0, 9.0, 95)
     rhos = assemble_density(analytic_elements(f, gts))
     assert all(np.array_equal(rhos[i], analytic_rho(f, gt)) for i, gt in enumerate(gts))
+
+
+def test_long_batch_matches_scalar_calls_with_every_pair_kind():
+    # adjacent pairs (h_plus, h_minus) and gap-of-two pairs (mu) on one field
+    f = superpose(random_amplitudes(range(40)), 48)
+    gts = np.linspace(0.0, 9.0, 95)
+    batch = analytic_elements(f, gts)
+    for i, gt in enumerate(gts):
+        e = analytic_elements(f, gt)
+        assert all(getattr(batch, name)[i] == getattr(e, name) for name in ELEMENT_NAMES)
 
 
 @given(fields(), gt_vectors, st.data())

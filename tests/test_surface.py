@@ -13,7 +13,7 @@ MODULES = ("fock", "propagator", "reduced", "entanglement", "oracle", "protocols
 #: or because their one caller no longer needs them (ScanSpec, BLOCK_ENTRIES)
 DELETED_NAMES = ("propagator_matrix", "excitation_operator", "NegativeBranchSearch",
                  "density_from_json", "DEFAULT_TOLERANCES", "_parser", "ScanSpec",
-                 "BLOCK_ENTRIES")
+                 "BLOCK_ENTRIES", "eof", "werner_eta_from_k", "neighbor_product_zero")
 DELETED_MEMBERS = (("FieldState", "from_json"), ("FieldState", "norm"),
                    ("PathComparison", "to_json"), ("FieldState", "has_headroom"))
 #: dataclass fields removed because no caller read them
@@ -41,8 +41,8 @@ def test_removed_api_is_not_importable():
 
 def test_fixed_tolerances_take_no_argument():
     # every caller used the module constant, so none of these is settable
-    checks = (propagator.ensure_headroom, tcqubits.neighbor_product_zero,
-              tcqubits.XStateElements.validate, tcqubits.check_density)
+    checks = (propagator.ensure_headroom, tcqubits.XStateElements.validate,
+              tcqubits.check_density)
     assert [f.__name__ for f in checks if "tol" in inspect.signature(f).parameters] == []
 
 
