@@ -158,11 +158,17 @@ def cmd_scan(args) -> int:
     if "fidelity" in outputs and fid_target is None:
         raise UsageError("fidelity output requires --target for this recipe")
 
-    grid = np.linspace(args.gt_min, args.gt_max, args.steps)
+    span, div = args.gt_max - args.gt_min, args.steps - 1
+    step = span / div
     rows = []
     with _output(args.out) as out:
         for start in range(0, args.steps, SCAN_CHUNK):
-            gts = grid[start:start + SCAN_CHUNK]
+            # np.linspace(gt_min, gt_max, steps)[start:stop], bit for bit, one chunk at a time
+            stop = min(start + SCAN_CHUNK, args.steps)
+            index = np.arange(start, stop, dtype=float)
+            gts = (index * step if step else index / div * span) + args.gt_min
+            if stop == args.steps:
+                gts[-1] = args.gt_max
             elems = analytic_elements(fld, gts)
             rho = assemble_density(elems)
             cols = {"gt": gts}

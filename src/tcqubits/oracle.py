@@ -7,7 +7,8 @@ excitation number N = photons + excited qubits (Tavis & Cummings, Phys.
 Rev. 170, 379 (1968)). It is therefore block-diagonal: manifold N spans
 {ee,N-2; eg,N-1; ge,N-1; gg,N}, one real symmetric 4x4 block per N.
 Evolution is the exact spectral exponential exp(-i gt H) of each block,
-no series truncation. Agreement with the closed-form propagator on full
+no series truncation, and only the blocks of manifolds that hold
+amplitude are multiplied. Agreement with the closed-form propagator on full
 joint states is the package's central correctness check. The dense
 `build_hamiltonian` is kept as the tests' arbiter of the blocks.
 """
@@ -77,16 +78,23 @@ def _decomposition(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evolve_blocks(branches: np.ndarray, gts: np.ndarray) -> np.ndarray:
-    """exp(-i gt H) on raw (4, dim) branches at T times, manifold by manifold: (T, 4, dim)."""
+    """exp(-i gt H) on raw (4, dim) branches at T times, manifold by manifold: (T, 4, dim).
+
+    Only the manifolds with a nonzero slot are multiplied, through their
+    blocks of the decomposition cached at dim; the rest stay zero.
+    """
     dim = branches.shape[1]
     evals, evecs = _decomposition(dim)
     amp = np.zeros((dim + 2, 4), dtype=complex)   # amp[N, k]: slot k of manifold N
     for k, exc in enumerate(QUBIT_EXC):
         amp[exc:exc + dim, k] = branches[k]
+    occupied = np.flatnonzero(amp.any(axis=1))
+    evals, evecs = evals[occupied], evecs[occupied]
     # row-vector products per manifold: amp V = (V^T amp)^T, then (phase V^T amp) V^T
-    coeff = (amp[:, None, :] @ evecs)[:, 0]
+    coeff = (amp[occupied, None, :] @ evecs)[:, 0]
     phased = np.exp(-1j * gts[:, None, None] * evals) * coeff
-    out = (phased[..., None, :] @ evecs.swapaxes(-1, -2))[..., 0, :]
+    out = np.zeros((len(gts), dim + 2, 4), dtype=complex)
+    out[:, occupied] = (phased[..., None, :] @ evecs.swapaxes(-1, -2))[..., 0, :]
     return np.stack([out[:, exc:exc + dim, k] for k, exc in enumerate(QUBIT_EXC)], axis=1)
 
 

@@ -26,6 +26,9 @@ strength x time); negative gt runs the inverse.
 H conserves N, so the truncation to n <= dim - 1 is exact for amplitude on
 manifolds N <= dim - 1: ee's top two levels and eg's and ge's top one
 empty, gg never cut. ensure_headroom is the package's one check of it.
+For the same reason _apply_raw works on the level prefix 0..Nmax, Nmax
+the highest manifold with an exactly nonzero entry, and pads zeros back:
+every slot of a manifold <= Nmax lies inside the prefix.
 """
 
 from __future__ import annotations
@@ -156,12 +159,21 @@ def _coefficients(manifolds: np.ndarray, gts: np.ndarray):
 
 
 def _apply_raw(branches: np.ndarray, gts: np.ndarray) -> np.ndarray:
-    """Evolution operator action on raw (4, dim) branches at T times: (T, 4, dim), no guards."""
-    h1 = _h_action(branches)
+    """Evolution operator action on raw (4, dim) branches at T times: (T, 4, dim), no guards.
+
+    Evaluated on the level prefix 0..Nmax (module docstring); tolerated
+    amplitude on a cut manifold (Nmax > dim - 1) keeps all dim levels.
+    """
+    dim = branches.shape[1]
+    manifold = np.arange(dim) + np.array(QUBIT_EXC)[:, None]
+    size = min(int(manifold[branches != 0].max(initial=0)) + 1, dim)
+    prefix, manifold = branches[:, :size], manifold[:, :size]
+    h1 = _h_action(prefix)
     h2 = _h_action(h1)
-    f1, f2 = _coefficients(np.arange(branches.shape[1] + 2), gts)   # column N: manifold N
-    manifold = np.arange(branches.shape[1]) + np.array(QUBIT_EXC)[:, None]
-    return branches + f1[:, manifold] * h1 + f2[:, manifold] * h2
+    f1, f2 = _coefficients(np.arange(size + 2), gts)   # column N: manifold N
+    out = np.zeros((len(gts), 4, dim), dtype=complex)
+    out[..., :size] = prefix + f1[:, manifold] * h1 + f2[:, manifold] * h2
+    return out
 
 
 def evolve_with(kernel, state: JointState, gt) -> JointState:

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -401,6 +402,42 @@ def test_scan_takes_a_negative_exponent_window(capsys):
                               "--steps", "2"], capsys)
     assert (code, err) == (0, "")
     assert [row["gt"] for row in parse_csv(out)[1]] == [-1e-3, 1.0]
+
+
+@pytest.mark.parametrize("gt_min, gt_max, steps", [
+    (0.0, 6.0, SCAN_CHUNK + 3), (-1e-3, 1.0, 2), (8.123456789, 11.0000001, 2 * SCAN_CHUNK + 1),
+    (0.0, 5e-324, 3), (0.0, 5e-324, 5), (-2.5e-320, 1e-320, 7),
+], ids=["chunk-boundary", "two-points", "three-chunks", "subnormal", "step-underflows",
+        "subnormal-negative"])
+def test_scan_grid_is_linspace_bit_for_bit(gt_min, gt_max, steps, capsys):
+    # at (0, 5e-324, 5) the step itself underflows to 0: the grid scales index / div instead
+    code, out, _ = run_cli(["scan", "--field", "vacuum", "--gt-min", repr(gt_min),
+                            "--gt-max", repr(gt_max), "--steps", str(steps),
+                            "--outputs", "concurrence"], capsys)
+    assert code == 0
+    grid = np.array([row["gt"] for row in parse_csv(out)[1]])
+    assert grid.tobytes() == np.linspace(gt_min, gt_max, steps).tobytes()
+
+
+def test_scan_builds_its_grid_one_chunk_at_a_time(monkeypatch):
+    # 1e11 points would be 800 GB at once; the writer stops the scan after the first chunk
+    class Stop(Exception):
+        pass
+
+    written = []
+
+    class FirstChunkOnly:
+        def write(self, text):
+            if len(written) == 2:   # the header, then the first chunk's rows
+                raise Stop
+            written.append(text)
+
+    monkeypatch.setattr(cli, "_output", lambda path: contextlib.nullcontext(FirstChunkOnly()))
+    with pytest.raises(Stop):
+        main(["scan", "--field", "vacuum", "--gt-max", "1", "--steps", str(10**11),
+              "--outputs", "concurrence"])
+    rows = parse_csv("".join(written))[1]
+    assert [row["gt"] for row in rows] == (np.arange(SCAN_CHUNK) * (1.0 / (10**11 - 1))).tolist()
 
 
 def test_plan_werner_infinite_gt_max_exits_2(capsys):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from tcqubits import (HeadroomError, JointState, analytic_elements, apply_propagator,
-                      assemble_density, build_hamiltonian, coherent_state, compare_paths,
-                      concurrence, concurrence_wootters, evolve_oracle, number_state, superpose)
+from tcqubits import (BASIS, FieldState, HeadroomError, JointState, analytic_elements,
+                      apply_propagator, assemble_density, build_hamiltonian, coherent_state,
+                      compare_paths, concurrence, concurrence_wootters, evolve_oracle,
+                      number_state, superpose)
+from tcqubits import oracle, propagator
 from tcqubits.oracle import _decomposition, _manifold_blocks
 from tcqubits.propagator import EE, EG, GE, GG, QUBIT_EXC
 
@@ -246,3 +248,97 @@ def test_evolution_takes_an_empty_vector_and_rejects_a_matrix_of_times_or_a_stac
     assert concurrence(rho).shape == concurrence_wootters(rho).shape == (0,)
     rep = compare_paths(number_state(1, 8), [])
     assert rep.max_density_dev.shape == rep.max_joint_dev.shape == (0,)
+
+
+# --- both kernels evolve only the manifolds that carry amplitude -------------
+
+def top_reaching(label, dim, rng=RNG):
+    """Random amplitudes on one branch, up to its highest uncut level dim - 1 - exc."""
+    br = np.zeros((4, dim), dtype=complex)
+    top = dim - QUBIT_EXC[label]
+    br[label, :top] = rng.normal(size=top) + 1j * rng.normal(size=top)
+    return br / np.linalg.norm(br)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 8, 33])
+@pytest.mark.parametrize("label", BASIS)
+def test_zero_padding_leaves_the_evolution_bit_identical(label, dim):
+    k = BASIS.index(label)
+    br = top_reaching(k, dim)
+    padded = np.zeros((4, 5 * dim), dtype=complex)
+    padded[:, :dim] = br
+    gts = np.array([0.0, -3.7, 0.1, 8.673, 25.0])
+    for evolve in (apply_propagator, evolve_oracle):
+        for gt in (gts, 1.3):
+            small = evolve(JointState(br), gt).branches
+            large = evolve(JointState(padded), gt).branches
+            assert np.array_equal(large[..., :dim], small), (evolve.__name__, gt)
+            assert not large[..., dim:].any(), (evolve.__name__, gt)
+
+
+def validate_field(dim=128, support=40, seed=1):
+    """A random field on levels 0..support - 1, drawn the way `validate` draws its trials."""
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(dim, dtype=complex)
+    amps[:support] = rng.normal(size=support) + 1j * rng.normal(size=support)
+    return FieldState(amps / np.linalg.norm(amps))
+
+
+def recorded_abc(monkeypatch):
+    """Monkeypatch propagator.abc to record the shape of every n it is handed."""
+    seen = []
+    abc = propagator.abc
+
+    def recording_abc(n, gt):
+        seen.append(np.shape(n))
+        return abc(n, gt)
+
+    monkeypatch.setattr(propagator, "abc", recording_abc)
+    return seen
+
+
+def test_kernels_run_over_the_occupied_manifolds_only(monkeypatch):
+    # the field holds manifolds 0..39 of the 130 that dim 128 has (0..dim + 1)
+    joint = JointState.from_field(validate_field(), "gg")
+    gts = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 8.673, 12.0])
+    seen = recorded_abc(monkeypatch)
+    apply_propagator(joint, gts)
+    assert seen == [(40 + 2,)]   # manifolds 0..Nmax + 2, Nmax = 39
+
+    shapes = []
+    decomposition = oracle._decomposition
+
+    class MatmulSpy(np.ndarray):
+        """The cached eigenvectors, recording their shape in every matmul they enter."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                shapes.extend(x.shape for x in inputs if isinstance(x, MatmulSpy))
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+    def spied_decomposition(dim):
+        evals, evecs = decomposition(dim)
+        return evals, evecs.view(MatmulSpy)
+
+    monkeypatch.setattr(oracle, "_decomposition", spied_decomposition)
+    evolve_oracle(joint, gts)
+    assert shapes == [(40, 4, 4)] * 2
+
+
+def test_tolerated_amplitude_past_the_cut_keeps_the_full_size(monkeypatch):
+    dim = 24
+    br = np.zeros((4, dim), dtype=complex)
+    br[GG, :dim - 2] = RNG.normal(size=dim - 2) + 1j * RNG.normal(size=dim - 2)
+    br[GG] /= np.linalg.norm(br[GG])
+    br[EE, dim - 1] = 1e-13   # manifold dim + 1, past the cut but within HEADROOM_TOL
+    state = JointState(br / np.linalg.norm(br))
+    evals, evecs = np.linalg.eigh(build_hamiltonian(dim))
+    gts = np.array([0.1, 1.0, 8.673, 25.0])
+    seen = recorded_abc(monkeypatch)
+    for evolve in (apply_propagator, evolve_oracle):
+        batch = evolve(state, gts).branches
+        for i, gt in enumerate(gts):
+            dense = evecs @ (np.exp(-1j * gt * evals) * (evecs.T @ state.branches.reshape(-1)))
+            assert np.max(np.abs(batch[i].reshape(-1) - dense)) <= 1e-12, (evolve.__name__, gt)
+        assert np.max(np.abs(np.linalg.norm(batch, axis=(-2, -1)) - 1.0)) <= 1e-12
+    assert seen == [(dim + 2,)]
