@@ -10,7 +10,9 @@ validate  cross-check the closed-form route against the brute-force
           route on random fields and the protocol presets
 
 Each command checks every input before it opens --out, so a usage error
-leaves an existing file untouched; an unwritable --out is a usage error too.
+leaves an existing file untouched; an unwritable --out or stdout (a reader
+that closed the pipe early) is a usage error too, and so is a --dim or --m
+too large to allocate.
 Exit codes: 0 success, 1 verification/validation failure, 2 usage error.
 Identical invocations (flags + seed) produce byte-identical output.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -126,7 +129,17 @@ def _fmt(x: float) -> str:
 def _output(path: str):
     """Where a command writes: stdout for '-', else the file, opened only now."""
     if path == "-":
-        yield sys.stdout  # looked up per call: a caller may have redirected it
+        out = sys.stdout  # looked up per call: a caller may have redirected it
+        try:
+            yield out
+            out.flush()
+        except OSError as exc:
+            # a reader that closed the pipe early, or a full device: point the
+            # descriptor at devnull so the interpreter's last flush cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+            raise UsageError(f"cannot write to stdout: {exc.strerror}") from None
         return
     try:
         handle = open(path, "w")
@@ -334,6 +347,9 @@ def main(argv=None) -> int:
         return command(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:   # --dim or --m past what this host can allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -61,16 +61,49 @@ def _refine_peak(f, lo: float, hi: float):
     """Locate the maximum of f on [lo, hi] to a 1e-10 bracket; returns (x, f(x)).
 
     f maps a vector of times to a vector of values. Each round evaluates
-    it once on 33 evenly spaced points and keeps the two grid intervals
-    around the largest, shrinking the bracket 16-fold.
+    it once on 33 evenly spaced points; the two grid intervals around the
+    largest form the certified bracket, which holds the peak of a
+    unimodal f. Where the five points around an interior largest are
+    concave, the next grid zooms onto v3 +- r inside that bracket: v3 is
+    the vertex of the parabola through the three middle points, v5 the
+    vertex of the least-squares parabola through all five, and
+    r = max(8 |v3 - v5|, 1e-10), so the zoom tightens as the two fits
+    agree. A zoomed round whose largest sits on an edge strictly inside
+    the certified bracket proves nothing and is followed by a round on
+    the whole certified bracket. Returns the sampled largest and its
+    sampled value once the certified bracket is at most 1e-10 wide.
     """
     lo, hi = float(lo), float(hi)
-    while hi - lo > 1e-10:
+    c_lo, c_hi = lo, hi
+    while True:
         xs = np.linspace(lo, hi, 33)
-        i = int(np.argmax(f(xs)))
-        lo, hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, 32)])
-    x = (lo + hi) / 2.0
-    return x, float(f(np.array([x]))[0])
+        ys = f(xs)
+        i = int(np.argmax(ys))
+        if lo > c_lo or hi < c_hi:
+            # a zoomed grid can sit on the round-off plateau of the peak,
+            # where the largest value ties at scattered points: take the
+            # tie nearest the middle, where the fits placed the vertex
+            top = np.flatnonzero(ys == ys[i])
+            i = int(top[np.argmin(np.abs(top - 16))])
+            if (i == 0 and lo > c_lo) or (i == 32 and hi < c_hi):
+                lo, hi = c_lo, c_hi
+                continue
+        c_lo, c_hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, 32)])
+        if c_hi - c_lo <= 1e-10:
+            return float(xs[i]), float(ys[i])
+        lo, hi = c_lo, c_hi
+        if 2 <= i <= 30:
+            y0, y1, y2, y3, y4 = ys[i - 2:i + 3]
+            # least-squares a2 k^2 + a1 k + a0 through offsets k = -2..2 grid steps
+            a2 =(2.0 * y0 - y1 - 2.0 * y2 - y3 + 2.0 * y4) / 14.0
+            a1 = (-2.0 * y0 - y1 + y3 + 2.0 * y4) / 10.0
+            curv3 = y1 - 2.0 * y2 + y3
+            if curv3 < 0.0 and a2 < 0.0:
+                step = xs[1] - xs[0]
+                v3 = xs[i] + step * 0.5 * (y1 - y3) / curv3
+                v5 = xs[i] - step * a1 / (2.0 * a2)
+                r = max(8.0 * abs(v3 - v5), 1e-10)
+                lo, hi = max(c_lo, v3 - r), min(c_hi, v3 + r)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +134,8 @@ class Bell1Plan:
         Concurrence maxima lie pi / (2 sqrt(4m + 6)) apart, so the
         refinement bracket is at most half that spacing on each side of
         gt1 and cannot reach a side peak at large m. Each refinement round
-        is one batched closed-form evaluation.
+        is one batched closed-form evaluation, and the rounds zoom onto
+        the fitted vertex, so an even-m peak usually takes three.
         """
         tol = self.TOLERANCE if tolerance is None else tolerance
         tgt = target("bell1", phi=self.phi)
@@ -177,10 +211,10 @@ def bell1_conditions_residual(m: int, gt: float):
 def first_concurrence_peak(fld: FieldState, gt_hi: float, threshold: float):
     """First local concurrence maximum above threshold on [0, gt_hi].
 
-    Grid scan (4096 samples, one batched evaluation) plus batched
-    bracket refinement of each local grid maximum within 0.05 of the
-    threshold; the threshold applies to the refined peak (narrow peaks
-    alias below it on the raw grid). Returns (gt_peak, peak)
+    Grid scan (4096 samples, one batched evaluation) plus the zooming
+    batched refinement of _refine_peak on each local grid maximum within
+    0.05 of the threshold; the threshold applies to the refined peak
+    (narrow peaks alias below it on the raw grid). Returns (gt_peak, peak)
     or None when no local maximum reaches the threshold.
     """
     ts = np.linspace(0.0, gt_hi, 4096)

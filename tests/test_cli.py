@@ -12,7 +12,7 @@ import pytest
 
 from tcqubits import (analytic_elements, assemble_density, concurrence, density_to_json,
                       fidelity, target)
-from tcqubits import cli
+from tcqubits import FieldState, cli
 from tcqubits.cli import SCAN_CHUNK, build_field, main, parse_phase
 
 
@@ -332,6 +332,52 @@ def test_usage_error_leaves_an_existing_out_untouched(argv, tmp_path, capsys):
     code, out, err = run_cli([*argv, "--out", str(path)], capsys)
     assert_one_line_usage_error(code, out, err)
     assert path.read_bytes() == b"earlier output\n"
+
+
+NUMPY_REFUSAL = ("Unable to allocate 1.46 TiB for an array with shape (100000000000,) "
+                 "and data type complex128")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["plan", "bell1", "--m", "30"], NUMPY_REFUSAL),
+    (["scan", "--field", "vacuum", "--gt-max", "1"], NUMPY_REFUSAL),
+    (["validate", "--trials", "1"], NUMPY_REFUSAL),
+    (["plan", "bell1", "--m", "30", "--dim", "40"], ""),
+], ids=["plan", "scan", "validate", "bare-memory-error"])
+def test_unallocatable_field_exits_2(argv, message, monkeypatch, tmp_path, capsys):
+    # numpy raises MemoryError for a --dim or --m past the host's memory; the
+    # sizes here stay small and the field constructor refuses instead, since a
+    # host that overcommits would grant a real terabyte request and then kill the run
+    def refuse(self):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(FieldState, "__post_init__", refuse)
+    path = tmp_path / "kept.txt"
+    path.write_bytes(b"earlier output\n")
+    code, out, err = run_cli([*argv, "--out", str(path)], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err == f"error: {message or 'out of memory'}\n"
+    assert path.read_bytes() == b"earlier output\n"
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    (["scan", "--field", "single-photon", "--gt-max", "1", "--steps", "200000",
+      "--outputs", "concurrence"], 2),
+    (["plan", "bell2"], 0),
+], ids=["scan-head", "plan-closed-at-once"])
+def test_reader_closing_stdout_exits_2_with_one_line(argv, lines_read):
+    # `... | head -2`: a closed stdout is an unwritable output, with neither a
+    # traceback nor the interpreter's "Exception ignored" line at exit
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with subprocess.Popen([sys.executable, "-m", "tcqubits", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        for _ in range(lines_read):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 2
+    assert err == "error: cannot write to stdout: Broken pipe\n"
 
 
 def test_plan_bell2(capsys):

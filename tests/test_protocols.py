@@ -47,6 +47,85 @@ def test_batched_refinement_matches_golden_section(m):
     assert abs(gt_peak - gt_ref) <= 5e-9
 
 
+def _counting_concurrence(monkeypatch):
+    """Route the protocols' concurrence through a wrapper; returns its list of call sizes."""
+    sizes = []
+
+    def counted(fld, gts):
+        sizes.append(np.size(gts))
+        return _concurrence_at(fld, gts)
+
+    monkeypatch.setattr("tcqubits.protocols._concurrence_at", counted)
+    return sizes
+
+
+def test_bell1_verification_zooms_onto_the_peak_in_a_few_calls(monkeypatch):
+    # a fixed 16-fold shrink needs 8 rounds plus one evaluation at the midpoint
+    sizes = _counting_concurrence(monkeypatch)
+    for phi in np.random.default_rng(2024).uniform(-math.pi, math.pi, 20):
+        sizes.clear()
+        bell1_plan(30, phi).verify()
+        assert len(sizes) <= 4, (phi, sizes)
+        assert set(sizes) == {33}
+
+
+def test_bell1_refinement_never_takes_more_calls_than_a_fixed_shrink(monkeypatch):
+    sizes = _counting_concurrence(monkeypatch)
+    for m in range(1, 61):
+        for phi in (0.0, 1.0, math.pi):
+            sizes.clear()
+            bell1_plan(m, phi).verify()
+            assert len(sizes) <= 9, (m, phi, sizes)
+
+
+@pytest.mark.parametrize("family, falls_back", [
+    (lambda p: lambda t: -np.abs(t - p), True),
+    (lambda p: lambda t: -np.where(t < p, (p - t) ** 2, 400.0 * (t - p) ** 2), False),
+    (lambda p: lambda t: 20.0 * (t - p) - np.expm1(20.0 * (t - p)), False),
+], ids=["kink", "skewed", "smooth-skewed"])
+def test_refinement_keeps_a_peak_its_parabolas_misjudge(family, falls_back):
+    # a zoomed grid whose largest sits on its edge sends the next grid back
+    # over the whole certified bracket, so the next grid is wider
+    widened = 0
+    for p in np.random.default_rng(9).uniform(0.01, 0.99, 50):
+        spans = []
+
+        def f(t, g=family(p)):
+            spans.append(t[-1] - t[0])
+            return g(t)
+
+        x, fx = _refine_peak(f, 0.0, 1.0)
+        assert abs(x - p) <= 1e-10, p
+        assert fx == family(p)(np.array([x]))[0]
+        widened += any(b > a for a, b in zip(spans, spans[1:]))
+    assert (widened > 0) == falls_back
+
+
+def test_refinement_takes_the_middle_of_a_flat_top():
+    # rounding turns a smooth top into a run of equal values; a zoomed grid
+    # inside it takes the tie nearest its middle rather than the first one,
+    # on its edge, which falls back to the whole bracket (13 calls here)
+    for p in np.random.default_rng(4).uniform(0.1, 0.9, 20):
+        calls = []
+
+        def f(t, p=p):
+            calls.append(t)
+            return np.round(-(t - p) ** 2, 12)
+
+        x, fx = _refine_peak(f, 0.0, 1.0)
+        assert fx == 0.0 and abs(x - p) <= 1e-6
+        assert len(calls) <= 3, p
+
+
+@pytest.mark.parametrize("m, phi", [(4, 0.0), (30, math.pi), (30, 1.3), (2000, -2.0)])
+def test_refined_peak_value_is_f_at_the_returned_time(m, phi):
+    conc = partial(_concurrence_at, bell1_plan(m, phi).field)
+    half = min(0.1, math.pi / (4.0 * math.sqrt(4.0 * m + 6.0)))
+    gt1 = bell1_time(m)
+    x, fx = _refine_peak(conc, gt1 - half, gt1 + half)
+    assert fx == conc(np.array([x]))[0]
+
+
 # --- first-class Bell plan --------------------------------------------------
 
 def test_bell1_times():
