@@ -15,10 +15,9 @@ from .entanglement import (TargetState, bell1_vector, bell2_vector, concurrence,
                            singlet_vector, target)
 from .oracle import PathComparison, build_hamiltonian, compare_paths, evolve_oracle
 from .protocols import (Bell1Plan, Bell2Plan, NegativeBranchRoot, VerificationReport,
-                        WernerPlan, bell1_conditions_residual, bell1_negative_branch_roots,
-                        bell1_plan, bell1_purity_factor, bell1_time, bell2_plan,
-                        first_concurrence_peak, verify_plan, werner_forward_elements,
-                        werner_solve)
+                        WernerPlan, bell1_negative_branch_roots, bell1_plan,
+                        bell1_purity_factor, bell1_time, bell2_plan, first_concurrence_peak,
+                        verify_plan, werner_forward_elements, werner_solve)
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,7 @@ __all__ = [
     "concurrence_x_state", "fidelity", "singlet_vector", "target",
     "PathComparison", "build_hamiltonian", "compare_paths", "evolve_oracle",
     "Bell1Plan", "Bell2Plan", "NegativeBranchRoot", "VerificationReport", "WernerPlan",
-    "bell1_conditions_residual", "bell1_negative_branch_roots", "bell1_plan",
-    "bell1_purity_factor", "bell1_time", "bell2_plan", "first_concurrence_peak",
-    "verify_plan", "werner_forward_elements", "werner_solve",
+    "bell1_negative_branch_roots", "bell1_plan", "bell1_purity_factor", "bell1_time",
+    "bell2_plan", "first_concurrence_peak", "verify_plan", "werner_forward_elements",
+    "werner_solve",
 ]

@@ -10,9 +10,10 @@ validate  cross-check the closed-form route against the brute-force
           route on random fields and the protocol presets
 
 Each command checks every input before it opens --out, so a usage error
-leaves an existing file untouched; an unwritable --out or stdout (a reader
-that closed the pipe early) is a usage error too, and so is a --dim or --m
-too large to allocate.
+leaves an existing file untouched; an unwritable --out or stdout (a failed
+write or close, a full device, a reader that closed the pipe early, a
+closed descriptor 1) is a usage error too, and so is a --dim or --m too
+large to allocate.
 Exit codes: 0 success, 1 verification/validation failure, 2 usage error.
 Identical invocations (flags + seed) produce byte-identical output.
 """
@@ -20,6 +21,7 @@ Identical invocations (flags + seed) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -127,9 +129,15 @@ def _fmt(x: float) -> str:
 
 @contextmanager
 def _output(path: str):
-    """Where a command writes: stdout for '-', else the file, opened only now."""
+    """Where a command writes: stdout for '-', else the file, opened only now.
+
+    A failed open, write or close is a usage error, and so is a missing
+    stdout: Python sets sys.stdout to None when descriptor 1 was closed.
+    """
     if path == "-":
         out = sys.stdout  # looked up per call: a caller may have redirected it
+        if out is None:
+            raise UsageError(f"cannot write to stdout: {os.strerror(errno.EBADF)}")
         try:
             yield out
             out.flush()
@@ -145,8 +153,11 @@ def _output(path: str):
         handle = open(path, "w")
     except OSError as exc:
         raise UsageError(f"cannot write --out {path!r}: {exc.strerror}") from None
-    with handle:
-        yield handle
+    try:
+        with handle:
+            yield handle
+    except OSError as exc:   # a full device fails on a write or on the closing flush
+        raise UsageError(f"cannot write --out {path!r}: {exc.strerror}") from None
 
 
 def cmd_scan(args) -> int:

@@ -5,8 +5,10 @@ eigendecomposition otherwise:
 
 - concurrence: a matrix whose eight off-X entries are all exactly 0.0
   (every row of a field with c_n c_{n+1} = 0) takes the Yu-Eberly X-state
-  form, `concurrence_x_state`. Any other matrix takes the Wootters
-  spin-flip route, `concurrence_wootters`: lambda_i are the descending
+  form, `concurrence_x_state`; so do XStateElements whose h_plus and
+  h_minus are exactly 0.0, read without a 4x4 matrix, while other
+  elements are assembled. Any other matrix takes the Wootters spin-flip
+  route, `concurrence_wootters`: lambda_i are the descending
   square roots of the eigenvalues of rho (Y(x)Y) rho* (Y(x)Y), computed
   through the Hermitian form sqrt(rho) rho_tilde sqrt(rho) for a
   numerically real nonnegative spectrum. The test for exact zeros picks
@@ -23,12 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reduced import X_OFF_PATTERN
+from .reduced import X_OFF_PATTERN, XStateElements, assemble_density
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 HERMITICITY_TOL = 1e-8
+_NOT_FINITE = "density matrix must be finite (no NaN or inf)"
 
 
 def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
@@ -53,7 +56,7 @@ def _density_stack(rho, hermitian: bool = False) -> np.ndarray:
     if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
         raise ValueError("density matrix must be 4x4 or a (T, 4, 4) stack")
     if not np.isfinite(rho).all():
-        raise ValueError("density matrix must be finite (no NaN or inf)")
+        raise ValueError(_NOT_FINITE)
     if hermitian and not (np.abs(rho - _dagger(rho)) <= HERMITICITY_TOL).all():
         raise ValueError("concurrence requires a Hermitian matrix")
     return rho
@@ -64,13 +67,27 @@ def _per_matrix(values: np.ndarray, rho: np.ndarray):
     return float(values[0]) if rho.ndim == 2 else values
 
 
-def concurrence(rho: np.ndarray):
-    """Concurrence in [0, 1] of a two-qubit density matrix.
+def concurrence(rho):
+    """Concurrence in [0, 1] of a two-qubit density matrix, or of XStateElements.
 
-    A (T, 4, 4) stack gives a length-T array; every matrix must pass the
-    Hermiticity check. Exactly X-type matrices take the Yu-Eberly closed
-    form, all others the Wootters eigen route.
+    A (T, 4, 4) stack, or elements holding length-T arrays, gives a
+    length-T array; every matrix must pass the Hermiticity check. Exactly
+    X-type matrices take the Yu-Eberly closed form, all others the
+    Wootters eigen route. Elements are validated; where h_plus and
+    h_minus are exactly zero on every row, the Yu-Eberly form reads the
+    elements themselves, which equals the route of their assembled
+    matrix bit for bit, and any other elements are assembled first.
     """
+    if isinstance(rho, XStateElements):
+        if np.count_nonzero(rho.h_plus) or np.count_nonzero(rho.h_minus):
+            return concurrence(assemble_density(rho))
+        rho.validate()
+        mu = np.asarray(rho.mu)
+        if not np.isfinite(mu).all():
+            raise ValueError(_NOT_FINITE)
+        v_plus, v_minus, w = rho.v_plus, rho.v_minus, rho.w
+        c = _yu_eberly_form(np.abs(mu), w * w, np.abs(w), v_plus * v_minus)
+        return float(c) if np.ndim(c) == 0 else c
     rho = _density_stack(rho, hermitian=True)
     stack = rho.reshape(-1, 4, 4)
     x_rows = ~stack[:, X_OFF_PATTERN].any(axis=-1)
@@ -112,8 +129,17 @@ def _wootters(rho: np.ndarray) -> np.ndarray:
 
 def _yu_eberly(rho: np.ndarray) -> np.ndarray:
     d = rho.diagonal(axis1=-2, axis2=-1).real
-    a = np.abs(rho[:, 0, 3]) - np.sqrt(np.maximum(d[:, 1] * d[:, 2], 0.0))
-    b = np.abs(rho[:, 1, 2]) - np.sqrt(np.maximum(d[:, 0] * d[:, 3], 0.0))
+    return _yu_eberly_form(np.abs(rho[:, 0, 3]), d[:, 1] * d[:, 2],
+                           np.abs(rho[:, 1, 2]), d[:, 0] * d[:, 3])
+
+
+def _yu_eberly_form(r14, p23, r23, p14):
+    """The Yu-Eberly form 2 max(0, r14 - sqrt(p23), r23 - sqrt(p14)).
+
+    r14 = |rho_14|, p23 = rho_22 rho_33, r23 = |rho_23| and p14 = rho_11 rho_44.
+    """
+    a = r14 - np.sqrt(np.maximum(p23, 0.0))
+    b = r23 - np.sqrt(np.maximum(p14, 0.0))
     return np.maximum(2.0 * np.maximum(a, b), 0.0)
 
 

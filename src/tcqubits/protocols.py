@@ -24,10 +24,13 @@ import numpy as np
 
 from .entanglement import concurrence, fidelity, target
 from .fock import FieldState, number_state, superpose
-from .propagator import JointState, abc, apply_propagator
+from .propagator import JointState, apply_propagator
 from .reduced import XStateElements, analytic_elements, assemble_density, partial_trace
 
 WERNER_PERIOD = 2.0 * math.pi / math.sqrt(38.0)
+#: 0..32, the sample indices of one _refine_peak grid
+_GRID = np.arange(33.0)
+_GRID.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +74,16 @@ def _refine_peak(f, lo: float, hi: float):
     agree. A zoomed round whose largest sits on an edge strictly inside
     the certified bracket proves nothing and is followed by a round on
     the whole certified bracket. Returns the sampled largest and its
-    sampled value once the certified bracket is at most 1e-10 wide.
+    sampled value once the certified bracket is at most 1e-10 wide. Each
+    grid is np.linspace(lo, hi, 33), bit for bit, built from a fixed
+    arange, and the fits run on Python floats.
     """
     lo, hi = float(lo), float(hi)
     c_lo, c_hi = lo, hi
     while True:
-        xs = np.linspace(lo, hi, 33)
+        step = (hi - lo) / 32.0
+        xs = (_GRID * step if step else _GRID / 32.0 * (hi - lo)) + lo   # as np.linspace does
+        xs[-1] = hi
         ys = f(xs)
         i = int(np.argmax(ys))
         if lo > c_lo or hi < c_hi:
@@ -93,15 +100,15 @@ def _refine_peak(f, lo: float, hi: float):
             return float(xs[i]), float(ys[i])
         lo, hi = c_lo, c_hi
         if 2 <= i <= 30:
-            y0, y1, y2, y3, y4 = ys[i - 2:i + 3]
+            y0, y1, y2, y3, y4 = ys[i - 2:i + 3].tolist()
             # least-squares a2 k^2 + a1 k + a0 through offsets k = -2..2 grid steps
-            a2 =(2.0 * y0 - y1 - 2.0 * y2 - y3 + 2.0 * y4) / 14.0
+            a2 = (2.0 * y0 - y1 - 2.0 * y2 - y3 + 2.0 * y4) / 14.0
             a1 = (-2.0 * y0 - y1 + y3 + 2.0 * y4) / 10.0
             curv3 = y1 - 2.0 * y2 + y3
             if curv3 < 0.0 and a2 < 0.0:
-                step = xs[1] - xs[0]
-                v3 = xs[i] + step * 0.5 * (y1 - y3) / curv3
-                v5 = xs[i] - step * a1 / (2.0 * a2)
+                x0, x1, x = xs[[0, 1, i]].tolist()
+                v3 = x + (x1 - x0) * 0.5 * (y1 - y3) / curv3
+                v5 = x - (x1 - x0) * a1 / (2.0 * a2)
                 r = max(8.0 * abs(v3 - v5), 1e-10)
                 lo, hi = max(c_lo, v3 - r), min(c_hi, v3 + r)
 
@@ -191,21 +198,6 @@ def bell1_plan(m: int, phi: float, dim: int | None = None) -> Bell1Plan:
     )
     return Bell1Plan(m=m, phi=float(phi), field=fld, gt1=bell1_time(m),
                      purity_factor=q, predicted=predicted)
-
-
-def bell1_conditions_residual(m: int, gt: float):
-    """How closely the pure-state conditions hold at gt.
-
-    Returns (|B(m-1)|, |B(m+1)|, A(m-1), A(m+1)); the ideal point has
-    B-values 0, A(m-1) = 1 and A(m+1) = -1. The planned gt1 enforces only
-    the half-cycle phase difference, so the residuals are small but
-    generally nonzero.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    A_lo, B_lo, _ = abc(m - 1, gt)
-    A_hi, B_hi, _ = abc(m + 1, gt)
-    return abs(B_lo), abs(B_hi), A_lo, A_hi
 
 
 def first_concurrence_peak(fld: FieldState, gt_hi: float, threshold: float):
@@ -509,8 +501,13 @@ class VerificationReport:
 
 
 def _concurrence_at(fld: FieldState, gts: np.ndarray) -> np.ndarray:
-    """Closed-form concurrence of the evolved |gg> (x) fld at a vector of times."""
-    return concurrence(assemble_density(analytic_elements(fld, gts)))
+    """Closed-form concurrence of the evolved |gg> (x) fld at a vector of times.
+
+    concurrence reads the elements directly: an X-type field's rows take
+    the Yu-Eberly form on v_plus, v_minus, w and mu with no 4x4 stack,
+    bit for bit the value of the assembled matrices.
+    """
+    return concurrence(analytic_elements(fld, gts))
 
 
 def _pipeline_density(fld: FieldState, gt) -> np.ndarray:

@@ -13,7 +13,8 @@ U = 1 + f1 H + f2 H^2 there, it is
 with f2 = (A - 1)/C and (A, B, C) = abc(N - 1, gt), all three factors
 real. Each element is a real-weighted sum of |c_N|^2, c_N conj(c_{N+1})
 or c_N conj(c_{N+2}) over the field's support S, so the factors are
-evaluated on the |S| support manifolds alone. A vector of T times is one
+evaluated on the |S| support manifolds alone; what depends on the field
+alone is derived once per field. A vector of T times is one
 batched evaluation, not split into blocks, so its temporaries are
 O(T * |S|). Density matrices are plain 4x4 complex arrays in the basis
 order (ee, eg, ge, gg).
@@ -22,6 +23,7 @@ order (ee, eg, ge, gg).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,46 +96,74 @@ def analytic_elements(field: FieldState, gt) -> XStateElements:
     gts = np.asarray(gt, dtype=float)
     if gts.ndim > 1:
         raise ValueError("gt must be a scalar or a 1-D vector")
-    sums = _element_sums(field.amplitudes, gts.reshape(-1))
+    sums = _element_sums(_support_terms(field), gts.reshape(-1))
     if gts.ndim == 0:
         sums = [values[0].item() for values in sums]   # Python float / complex
     return XStateElements(*sums)
 
 
-def _element_sums(c: np.ndarray, times: np.ndarray):
-    """(v_plus, v_minus, w, h_plus, h_minus, mu), each of length T, for amplitudes c.
+# only the last field's support terms stay cached; a bell1 peak search reads one field thrice
+@lru_cache(maxsize=1)
+def _support_terms(field: FieldState):
+    """What _element_sums needs of a field alone, derived once per field.
 
-    The real factors e, g and h of the module docstring are taken on the
-    support manifolds S of c alone. v_plus, v_minus and w weigh |c_N|^2 by
-    e^2, g^2 and h^2; h_plus, h_minus and mu weigh the products
-    c_N conj(c_{N+d}) by -i h(N) e(N+1), i g(N) h(N+1) and g(N) e(N+2) over
-    the pairs with both levels in S, as two real row sums each. np.take,
-    unlike a fancy index, keeps every product row-major, so each row sums
-    pairwise exactly as a batch of one does.
+    The support levels S and the time-free parts of the factors e, g and
+    h: 2 sqrt(N(N - 1)), 2N and sqrt(N / C) with C = C(N - 1) of abc,
+    where abc's argument N - 1 is clamped at 0. Then the weights |c_N|^2
+    and, per pair distance d = 1, 2, the columns of N and N + d in S and
+    real and imaginary parts of phase * c_N conj(c_{N+d}). The key is the
+    field itself, compared by identity, so a new field builds new terms.
     """
+    c = field.amplitudes
     levels = np.flatnonzero(c)
     n = levels.astype(float)
-    A, B, C = abc(np.maximum(n - 1.0, 0.0), times[:, None])
-    f2 = (A - 1.0) / C
-    E, G, H = range(3)   # rows of factors, (T, 3, |S|)
-    factors = np.stack([2.0 * np.sqrt(n * (n - 1.0)) * f2, 1.0 + 2.0 * n * f2,
-                        B * np.sqrt(n / C)], axis=1)
-    v_plus, v_minus, w = np.sum(factors * factors * np.abs(c[levels]) ** 2, axis=-1).T
-    column = np.full(c.size + 2, -1)   # column of level N in factors, -1 off S
+    n_abc = np.maximum(n - 1.0, 0.0)
+    C = 2.0 * (2.0 * n_abc + 1.0)
+    column = np.full(c.size + 2, -1)   # column of level N in the factors, -1 off S
     column[levels] = np.arange(levels.size)
-
-    def pair_sums(d, left, right, phases):
-        """Per row pair: phase * sum of left(N) right(N + d) c_N conj(c_{N+d}), N and N + d in S."""
+    pairs = []   # the phases are those of h_plus, h_minus (d = 1) and mu (d = 2)
+    for d, phases in ((1, (complex(0, -1), complex(0, 1))), (2, (1.0,))):
         j = column[levels + d]
         i = np.flatnonzero(j >= 0)
         j = j[i]
         q = c[levels[i]] * c[levels[j]].conj()
-        parts = np.array([[(p * q).real, (p * q).imag] for p in phases])   # (rows, 2, pairs)
+        pairs.append((i, j, np.array([[(p * q).real, (p * q).imag] for p in phases])))
+    terms = (n_abc, 2.0 * np.sqrt(n * (n - 1.0)), 2.0 * n, np.sqrt(n / C),
+             np.abs(c[levels]) ** 2)
+    for array in terms + sum(pairs, ()):
+        array.flags.writeable = False   # every later call on this field shares them
+    return terms + (pairs,)
+
+
+def _element_sums(terms, times: np.ndarray):
+    """(v_plus, v_minus, w, h_plus, h_minus, mu), each of length T, from _support_terms.
+
+    The real factors e, g and h of the module docstring are taken on the
+    support manifolds S alone, through one abc call. v_plus, v_minus and
+    w weigh |c_N|^2 by e^2, g^2 and h^2; h_plus, h_minus and mu weigh the
+    products c_N conj(c_{N+d}) by -i h(N) e(N+1), i g(N) h(N+1) and
+    g(N) e(N+2) over the pairs with both levels in S, as two real row sums
+    each, and are exactly zero where d has no pairs. np.take, unlike a
+    fancy index, keeps every product row-major, so each row sums pairwise
+    exactly as a batch of one does.
+    """
+    n_abc, e_scale, g_scale, h_scale, weights, pairs = terms
+    A, B, C = abc(n_abc, times[:, None])
+    f2 = (A - 1.0) / C
+    E, G, H = range(3)   # rows of factors, (T, 3, |S|)
+    factors = np.stack([e_scale * f2, 1.0 + g_scale * f2, B * h_scale], axis=1)
+    v_plus, v_minus, w = np.sum(factors * factors * weights, axis=-1).T
+
+    def pair_sums(d, left, right):
+        """Per row pair: phase * sum of left(N) right(N + d) c_N conj(c_{N+d}), N and N + d in S."""
+        i, j, parts = pairs[d - 1]   # parts: (rows, 2, pairs)
+        if not i.size:
+            return np.zeros((len(left), times.size), dtype=complex)
         r = factors.take(left, axis=1).take(i, axis=2) * factors.take(right, axis=1).take(j, axis=2)
         return np.sum(r[:, :, None] * parts, axis=-1).view(complex)[..., 0].T
 
-    h_plus, h_minus = pair_sums(1, [H, G], [E, H], [complex(0, -1), complex(0, 1)])
-    (mu,) = pair_sums(2, [G], [E], [1.0])
+    h_plus, h_minus = pair_sums(1, [H, G], [E, H])
+    (mu,) = pair_sums(2, [G], [E])
     return v_plus, v_minus, w, h_plus, h_minus, mu
 
 

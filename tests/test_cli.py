@@ -1,5 +1,7 @@
 import contextlib
 import dataclasses
+import errno
+import io
 import json
 import math
 import os
@@ -320,6 +322,34 @@ def test_unwritable_out_exits_2(command, tmp_path, capsys):
     assert not path.parent.exists()
 
 
+class FailingHandle(io.StringIO):
+    """An --out file on a full device: its write or its closing flush raises ENOSPC."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def close(self):
+        super().close()
+        if self.failing == "close":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("failing", ["write", "close"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_failed_write_or_close_on_out_exits_2(command, failing, monkeypatch, capsys):
+    # `--out /dev/full`: the open succeeds, then a write or the closing flush fails
+    monkeypatch.setattr(cli, "open", lambda path, mode: FailingHandle(failing), raising=False)
+    code, out, err = run_cli([*COMMANDS[command], "--out", "full.txt"], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err == "error: cannot write --out 'full.txt': No space left on device\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "--field", "nonsense", "--gt-max", "1"],
     ["plan", "bell2", "--tol", "nan"],
@@ -378,6 +408,20 @@ def test_reader_closing_stdout_exits_2_with_one_line(argv, lines_read):
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 2
     assert err == "error: cannot write to stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "bell2"],
+    ["scan", "--field", "vacuum", "--dim", "8", "--gt-max", "1", "--steps", "3"],
+], ids=["plan", "scan"])
+def test_closed_stdout_exits_2_with_one_line(argv):
+    # `tcqubits plan bell2 >&-`: Python sets sys.stdout to None without descriptor 1
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "tcqubits", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), preexec_fn=lambda: os.close(1),
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write to stdout: Bad file descriptor\n"
 
 
 def test_plan_bell2(capsys):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tcqubits import (analytic_elements, assemble_density, bell1_vector, bell2_vector,
-                      concurrence, concurrence_wootters, concurrence_x_state, fidelity,
-                      is_x_type, singlet_vector, superpose, target)
+from tcqubits import (XStateElements, analytic_elements, assemble_density, bell1_plan,
+                      bell1_vector, bell2_vector, coherent_state, concurrence,
+                      concurrence_wootters, concurrence_x_state, fidelity, is_x_type,
+                      number_state, singlet_vector, superpose, target)
 
 RNG = np.random.default_rng(55)
 
@@ -231,6 +232,40 @@ def test_batched_concurrence_matches_x_state_closed_form(half_levels, seed, gts)
         assert is_x_type(rho)
         assert abs(conc[i] - concurrence_x_state(rho)) <= 5e-8
     assert np.array_equal(concurrence(rhos), concurrence_x_state(rhos))
+
+
+@pytest.mark.parametrize("fld", [
+    bell1_plan(30, 1.3).field,
+    bell1_plan(1, 0.0).field,
+    number_state(1, 8),
+    superpose([(0, 0.6), (10, 0.8)], 16),
+    coherent_state(2.0, 40, parity="even"),
+    superpose([(0, 1.0), (1, 0.5j), (3, -0.7)], 8),
+    coherent_state(1.5, 40),
+], ids=["bell1-m30", "bell1-m1", "single-photon", "werner", "even-cat", "adjacent-levels",
+        "coherent"])
+def test_concurrence_of_elements_is_that_of_their_matrices_bit_for_bit(fld):
+    # X-type fields read the elements through the Yu-Eberly form; fields
+    # with adjacent levels (h_plus, h_minus nonzero) are assembled first
+    gts = np.concatenate([[0.0], np.random.default_rng(3).uniform(0.0, 12.0, 40)])
+    elems = analytic_elements(fld, gts)
+    batch = concurrence(elems)
+    assert batch.tobytes() == np.asarray(concurrence(assemble_density(elems))).tobytes()
+    for gt, row in zip(gts[:6], batch):
+        one = analytic_elements(fld, gt)
+        assert concurrence(one) == concurrence(assemble_density(one)) == row
+        assert isinstance(concurrence(one), float)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_concurrence_of_elements_rejects_a_non_finite_mu(bad):
+    for mu in (bad, np.array([0.1, bad])):
+        elems = XStateElements(v_plus=0.5, v_minus=0.5, w=0.0, h_plus=0.0, h_minus=0.0, mu=mu)
+        with pytest.raises(ValueError, match="must be finite"):
+            concurrence(elems)
+    with pytest.raises(ValueError, match="unit trace"):   # the elements are validated
+        concurrence(XStateElements(v_plus=0.5, v_minus=0.6, w=0.0, h_plus=0.0, h_minus=0.0,
+                                   mu=0.1))
 
 
 def test_one_non_hermitian_matrix_fails_the_whole_batch():

@@ -4,11 +4,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from tcqubits import (JointState, analytic_elements, apply_propagator, assemble_density,
-                      bell1_conditions_residual, bell1_negative_branch_roots, bell1_plan,
-                      bell1_purity_factor, bell1_time, bell2_plan, concurrence, fidelity,
-                      first_concurrence_peak, partial_trace, singlet_vector, superpose,
-                      target, verify_plan, werner_forward_elements, werner_solve)
+from tcqubits import (JointState, abc, analytic_elements, apply_propagator, assemble_density,
+                      bell1_negative_branch_roots, bell1_plan, bell1_purity_factor, bell1_time,
+                      bell2_plan, concurrence, fidelity, first_concurrence_peak, partial_trace,
+                      singlet_vector, superpose, target, verify_plan, werner_forward_elements,
+                      werner_solve)
 from tcqubits.protocols import (NEGATIVE_BRANCH_REFERENCE_SEEDS, WERNER_PERIOD,
                                 _concurrence_at, _refine_peak, golden_section_max,
                                 negative_branch_curve, negative_branch_residuals)
@@ -126,6 +126,41 @@ def test_refined_peak_value_is_f_at_the_returned_time(m, phi):
     assert fx == conc(np.array([x]))[0]
 
 
+@pytest.mark.parametrize("m", [1, 2, 4, 30, 31, 1000])
+def test_bell1_peak_equals_the_search_over_assembled_matrices_bit_for_bit(m):
+    # the verification reads concurrence from the elements; the assembled
+    # 4x4 stacks give the same values, so the search ends on the same time
+    for phi in (0.0, 2.3):
+        plan = bell1_plan(m, phi)
+        half = min(0.1, math.pi / (4.0 * math.sqrt(4.0 * m + 6.0)))
+        ref, _ = _refine_peak(
+            lambda t: concurrence(assemble_density(analytic_elements(plan.field, t))),
+            plan.gt1 - half, plan.gt1 + half)
+        assert plan.verify().gt_peak == ref
+
+
+GT1_M30 = bell1_time(30)
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda t: -(t - 0.7) ** 2, 0.0, 1.0),
+    (lambda t: -(t + 1.1) ** 2, -3.7, 0.4),
+    (lambda t: t, 0.0, 5e-324),
+    (lambda t: -t, -2.5e-320, 1e-320),
+    (partial(_concurrence_at, bell1_plan(30, 1.0).field), GT1_M30 - 0.05, GT1_M30 + 0.05),
+], ids=["unit", "negative", "step-underflows", "subnormal", "bell1-m30-zooms"])
+def test_refinement_grids_are_linspace_bit_for_bit(f, lo, hi):
+    grids = []
+
+    def recorded(t):
+        grids.append(t.copy())
+        return f(t)
+
+    _refine_peak(recorded, lo, hi)
+    for t in grids:
+        assert t.tobytes() == np.linspace(t[0], t[-1], 33).tobytes()
+
+
 # --- first-class Bell plan --------------------------------------------------
 
 def test_bell1_times():
@@ -190,13 +225,15 @@ def test_bell1_phase_steering():
         assert min(delta, 2 * math.pi - delta) <= 1e-6
 
 
-def test_bell1_conditions_at_time_zero():
-    b_lo, b_hi, a_lo, a_hi = bell1_conditions_residual(17, 0.0)
-    assert (b_lo, b_hi, a_lo, a_hi) == (0.0, 0.0, 1.0, 1.0)
+def bell1_conditions(m, gt):
+    """(|B(m-1)|, |B(m+1)|, A(m-1), A(m+1)); the pure-state point has 0, 0, 1, -1."""
+    A_lo, B_lo, _ = abc(m - 1, gt)
+    A_hi, B_hi, _ = abc(m + 1, gt)
+    return abs(B_lo), abs(B_hi), A_lo, A_hi
 
 
 def test_bell1_conditions_near_ideal_at_gt1_for_m30():
-    b_lo, b_hi, a_lo, a_hi = bell1_conditions_residual(30, bell1_time(30))
+    b_lo, b_hi, a_lo, a_hi = bell1_conditions(30, bell1_time(30))
     assert abs(a_lo - 1.0) <= 1e-3
     assert abs(a_hi + 1.0) <= 1e-3
     assert max(b_lo, b_hi) <= 0.05
@@ -204,7 +241,7 @@ def test_bell1_conditions_near_ideal_at_gt1_for_m30():
 
 
 def test_bell1_conditions_poor_for_small_m():
-    b_lo, b_hi, a_lo, _ = bell1_conditions_residual(1, bell1_time(1))
+    b_lo, b_hi, a_lo, _ = bell1_conditions(1, bell1_time(1))
     assert max(b_lo, b_hi) > 0.5
     assert abs(a_lo - 1.0) > 1.0
 

@@ -1,13 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from tcqubits import (JointState, XStateElements, analytic_elements, apply_propagator,
-                      assemble_density, bell1_plan, check_density, coherent_state,
-                      density_to_json, is_x_type, number_state, partial_trace, reduced,
-                      superpose)
+from tcqubits import (FieldState, JointState, XStateElements, analytic_elements,
+                      apply_propagator, assemble_density, bell1_plan, check_density,
+                      coherent_state, density_to_json, is_x_type, number_state, partial_trace,
+                      reduced, superpose)
 
 RNG = np.random.default_rng(918273)
 
@@ -107,6 +108,23 @@ def test_coefficients_are_taken_on_the_support_manifolds_only(field, manifolds, 
     analytic_elements(field, np.linspace(0.0, 12.0, 9))
     analytic_elements(field, 0.7)
     assert seen == [(manifolds,)] * 2
+
+
+def test_support_terms_are_reused_on_one_field_only():
+    # the memo holds terms derived from the most recent field, never a result
+    amps = bell1_plan(30, 1.3).field.amplitudes
+    first, twin = FieldState(amps), FieldState(amps.copy())
+    reduced._support_terms.cache_clear()
+    gts = np.linspace(0.0, 3.0, 7)
+    a = analytic_elements(first, gts)
+    b = analytic_elements(first, gts[::-1])
+    assert reduced._support_terms.cache_info()[:2] == (1, 1)   # (hits, misses)
+    assert np.array_equal(a.mu, b.mu[::-1]) and not np.array_equal(a.mu, b.mu)
+    c = analytic_elements(twin, gts)
+    assert reduced._support_terms.cache_info()[:2] == (1, 2)
+    assert reduced._support_terms(twin) is not reduced._support_terms(first)
+    assert all(np.asarray(x).tobytes() == np.asarray(y).tobytes()
+               for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(c)))
 
 
 def test_partial_trace_product_state():

@@ -13,7 +13,8 @@ MODULES = ("fock", "propagator", "reduced", "entanglement", "oracle", "protocols
 #: or because their one caller no longer needs them (ScanSpec, BLOCK_ENTRIES)
 DELETED_NAMES = ("propagator_matrix", "excitation_operator", "NegativeBranchSearch",
                  "density_from_json", "DEFAULT_TOLERANCES", "_parser", "ScanSpec",
-                 "BLOCK_ENTRIES", "eof", "werner_eta_from_k", "neighbor_product_zero")
+                 "BLOCK_ENTRIES", "eof", "werner_eta_from_k", "neighbor_product_zero",
+                 "bell1_conditions_residual")
 DELETED_MEMBERS = (("FieldState", "from_json"), ("FieldState", "norm"),
                    ("PathComparison", "to_json"), ("FieldState", "has_headroom"))
 #: dataclass fields removed because no caller read them
