@@ -36,11 +36,13 @@ from .entanglement import TargetState, concurrence, fidelity, target
 from .fock import FieldState, coherent_state, number_state, superpose
 from .oracle import compare_paths
 from .reduced import analytic_elements, assemble_density, density_to_json
-from .protocols import bell1_plan, bell2_plan, verify_plan, werner_solve
+from .protocols import bell1_plan, bell2_plan, linspace_at, verify_plan, werner_solve
 
 VALIDATE_GT_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 8.673, 12.0)
 #: scan rows evaluated (and, for CSV, written) per batched kernel call
 SCAN_CHUNK = 256
+#: the float format of scan's CSV rows and validate's report
+FLOAT_FORMAT = "%.17g"
 
 
 class UsageError(ValueError):
@@ -85,13 +87,10 @@ def build_field(recipe: str, dim: int) -> tuple[FieldState, TargetState | None]:
         if name == "bell1-m40":
             return bell1_plan(40, 0.0, dim=dim).field, target("bell1", phi=0.0)
         if name == "werner":
-            plan = werner_solve(1.0 / 3.0, 1.0 / 6.0)
-            return plan.field(dim), target("werner", eta=1.0)
-        if name.startswith("even-coherent"):
-            alpha = 2.0
-            if ":" in name:
-                alpha = float(name.split(":", 1)[1])
-            return coherent_state(alpha, dim, parity="even"), None
+            return werner_solve(1.0 / 3.0, 1.0 / 6.0, dim=dim).field, target("werner", eta=1.0)
+        kind, colon, alpha = name.partition(":")
+        if kind == "even-coherent":
+            return coherent_state(float(alpha) if colon else 2.0, dim, parity="even"), None
         if ":" in name:
             terms = []
             for chunk in name.split(";"):
@@ -124,7 +123,7 @@ def parse_target(text: str) -> TargetState | None:
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    return FLOAT_FORMAT % x
 
 
 @contextmanager
@@ -182,19 +181,15 @@ def cmd_scan(args) -> int:
     if "fidelity" in outputs and fid_target is None:
         raise UsageError("fidelity output requires --target for this recipe")
 
-    span, div = args.gt_max - args.gt_min, args.steps - 1
-    step = span / div
     rows = []
     with _output(args.out) as out:
         for start in range(0, args.steps, SCAN_CHUNK):
-            # np.linspace(gt_min, gt_max, steps)[start:stop], bit for bit, one chunk at a time
-            stop = min(start + SCAN_CHUNK, args.steps)
-            index = np.arange(start, stop, dtype=float)
-            gts = (index * step if step else index / div * span) + args.gt_min
-            if stop == args.steps:
-                gts[-1] = args.gt_max
+            # np.linspace(gt_min, gt_max, steps)[start:stop], one chunk at a time
+            index = np.arange(start, min(start + SCAN_CHUNK, args.steps), dtype=float)
+            gts = linspace_at(args.gt_min, args.gt_max, args.steps - 1, index)
             elems = analytic_elements(fld, gts)
-            rho = assemble_density(elems)
+            if outputs & {"fidelity", "density"}:
+                rho = assemble_density(elems)
             cols = {"gt": gts}
             if "elements" in outputs:
                 cols.update(v_plus=elems.v_plus, v_minus=elems.v_minus, w=elems.w,
@@ -202,7 +197,7 @@ def cmd_scan(args) -> int:
                             re_h_plus=elems.h_plus.real, im_h_plus=elems.h_plus.imag,
                             re_h_minus=elems.h_minus.real, im_h_minus=elems.h_minus.imag)
             if "concurrence" in outputs:
-                cols["concurrence"] = concurrence(rho)
+                cols["concurrence"] = concurrence(elems)
             if "fidelity" in outputs:
                 cols["fidelity"] = fidelity(rho, fid_target)
             table = zip(*(values.tolist() for values in cols.values()))
@@ -215,7 +210,7 @@ def cmd_scan(args) -> int:
             else:
                 if start == 0:
                     out.write(",".join(cols) + "\n")
-                row_format = ",".join(["%.17g"] * len(cols)) + "\n"   # "%.17g" % x == _fmt(x)
+                row_format = ",".join([FLOAT_FORMAT] * len(cols)) + "\n"
                 out.write("".join(row_format % row for row in table))
         if as_json:
             payload = {"recipe": args.field, "dim": args.dim, "gt_min": args.gt_min,

@@ -16,13 +16,13 @@ own default tolerance; verify_plan is the entry point that calls it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from functools import partial
 from typing import ClassVar
 
 import numpy as np
 
-from .entanglement import concurrence, fidelity, target
+from .entanglement import TargetState, concurrence, fidelity, target
 from .fock import FieldState, number_state, superpose
 from .propagator import JointState, apply_propagator
 from .reduced import XStateElements, analytic_elements, assemble_density, partial_trace
@@ -60,6 +60,15 @@ def golden_section_max(f, lo: float, hi: float):
     return x, f(x)
 
 
+def linspace_at(lo: float, hi: float, div: int, index: np.ndarray) -> np.ndarray:
+    """np.linspace(lo, hi, div + 1)[index], bit for bit, for a float array of indices."""
+    span = hi - lo
+    step = span / div
+    xs = (index * step if step else index / div * span) + lo   # as np.linspace does
+    xs[index == div] = hi
+    return xs
+
+
 def _refine_peak(f, lo: float, hi: float):
     """Locate the maximum of f on [lo, hi] to a 1e-10 bracket; returns (x, f(x)).
 
@@ -75,15 +84,13 @@ def _refine_peak(f, lo: float, hi: float):
     the certified bracket proves nothing and is followed by a round on
     the whole certified bracket. Returns the sampled largest and its
     sampled value once the certified bracket is at most 1e-10 wide. Each
-    grid is np.linspace(lo, hi, 33), bit for bit, built from a fixed
-    arange, and the fits run on Python floats.
+    grid is np.linspace(lo, hi, 33), bit for bit (linspace_at), and the
+    fits run on Python floats.
     """
     lo, hi = float(lo), float(hi)
     c_lo, c_hi = lo, hi
     while True:
-        step = (hi - lo) / 32.0
-        xs = (_GRID * step if step else _GRID / 32.0 * (hi - lo)) + lo   # as np.linspace does
-        xs[-1] = hi
+        xs = linspace_at(lo, hi, 32, _GRID)
         ys = f(xs)
         i = int(np.argmax(ys))
         if lo > c_lo or hi < c_hi:
@@ -145,18 +152,16 @@ class Bell1Plan:
         the fitted vertex, so an even-m peak usually takes three.
         """
         tol = self.TOLERANCE if tolerance is None else tolerance
-        tgt = target("bell1", phi=self.phi)
         half = min(0.1, math.pi / (4.0 * math.sqrt(4.0 * self.m + 6.0)))
         gt_peak, _ = _refine_peak(partial(_concurrence_at, self.field),
                                   self.gt1 - half, self.gt1 + half)
-        rho, rho1 = _pipeline_density(self.field, np.array([gt_peak, self.gt1]))
-        fid = fidelity(rho, tgt)
+        rho, devs, fids, concs = _measure(self.field, [gt_peak, self.gt1],
+                                          target("bell1", phi=self.phi))
         return VerificationReport(
-            protocol="bell1", gt_values=(self.gt1,),
-            max_element_dev=float(np.max(np.abs(rho - tgt.matrix))),
-            fidelity=fid, concurrence=concurrence(rho), tolerance=tol,
-            passed=bool(fid >= 1.0 - tol), gt_peak=gt_peak,
-            prediction_dev=float(np.max(np.abs(rho1 - assemble_density(self.predicted)))))
+            protocol="bell1", gt_values=(self.gt1,), max_element_dev=devs[0],
+            fidelity=fids[0], concurrence=concs[0], tolerance=tol,
+            passed=bool(fids[0] >= 1.0 - tol), gt_peak=gt_peak,
+            prediction_dev=float(np.max(np.abs(rho[1] - assemble_density(self.predicted)))))
 
 
 def bell1_time(m: int) -> float:
@@ -319,33 +324,30 @@ def bell1_negative_branch_roots(ms=None) -> tuple[NegativeBranchRoot, ...]:
 class Bell2Plan:
     """Recipe for the (|eg> + |ge>)/sqrt(2) state from the |1> field.
 
-    unique_m records why the single-photon field is the only number state
-    that works: the central element peaks at m/(4m-2), which reaches 1/2
-    only for m = 1.
+    The JSON param unique_m = 1 records why the single-photon field is the
+    only number state that works: the central element peaks at m/(4m-2),
+    which reaches 1/2 only for m = 1.
     """
 
     l: int
     gt2: float
     field: FieldState
     predicted: XStateElements
-    unique_m: int = 1
 
     #: passes on max element deviation from the Bell state: the preparation is exact
     TOLERANCE: ClassVar[float] = 1e-9
 
     def to_json(self) -> dict:
-        params = {"l": self.l, "unique_m": self.unique_m}
+        params = {"l": self.l, "unique_m": 1}
         return _plan_json("bell2", params, self.field, [self.gt2], self.predicted)
 
     def verify(self, tolerance: float | None = None) -> VerificationReport:
         tol = self.TOLERANCE if tolerance is None else tolerance
-        tgt = target("bell2")
-        rho = _pipeline_density(self.field, self.gt2)
-        dev = float(np.max(np.abs(rho - tgt.matrix)))
+        _, devs, fids, concs = _measure(self.field, [self.gt2], target("bell2"))
         return VerificationReport(
-            protocol="bell2", gt_values=(self.gt2,), max_element_dev=dev,
-            fidelity=fidelity(rho, tgt), concurrence=concurrence(rho),
-            tolerance=tol, passed=bool(dev <= tol))
+            protocol="bell2", gt_values=(self.gt2,), max_element_dev=devs[0],
+            fidelity=fids[0], concurrence=concs[0], tolerance=tol,
+            passed=bool(devs[0] <= tol))
 
 
 def bell2_plan(l: int, dim: int = 8) -> Bell2Plan:
@@ -364,37 +366,34 @@ def bell2_plan(l: int, dim: int = 8) -> Bell2Plan:
 
 @dataclass(frozen=True)
 class WernerPlan:
-    """Recipe for the eta = 1 Werner state from a |0>, |10> field."""
+    """Recipe for the eta = 1 Werner state from a |0>, |10> field.
+
+    The JSON param degenerate is c10_sq == 0.0, which holds only for the
+    (0, 0) target: elsewhere |c10|^2 >= min(v_plus, w) > 0.
+    """
 
     c0_sq: float
     c10_sq: float
+    field: FieldState
     times: tuple
-    period: float
     predicted: XStateElements
-    degenerate: bool = False
 
-    def field(self, dim: int = 16) -> FieldState:
-        return superpose([(0, math.sqrt(self.c0_sq)), (10, math.sqrt(self.c10_sq))], dim)
-
+    period: ClassVar[float] = WERNER_PERIOD
     #: passes on the worst max element deviation over the solution times
     TOLERANCE: ClassVar[float] = 2e-3
 
     def to_json(self) -> dict:
         params = {"c0_sq": self.c0_sq, "c10_sq": self.c10_sq, "period": self.period,
-                  "degenerate": self.degenerate}
-        return _plan_json("werner", params, self.field(), self.times, self.predicted)
+                  "degenerate": self.c10_sq == 0.0}
+        return _plan_json("werner", params, self.field, self.times, self.predicted)
 
     def verify(self, tolerance: float | None = None) -> VerificationReport:
         """Compare every solution time with the eta = 1 Werner matrix."""
         tol = self.TOLERANCE if tolerance is None else tolerance
-        tgt = target("werner", eta=1.0)
-        rho = _pipeline_density(self.field(), np.array(self.times))
-        devs = np.max(np.abs(rho - tgt.matrix), axis=(-2, -1)).tolist()
-        fids = fidelity(rho, tgt).tolist()
-        concs = concurrence(rho).tolist()
+        _, devs, fids, concs = _measure(self.field, self.times, target("werner", eta=1.0))
         worst = max(devs)
         return VerificationReport(
-            protocol="werner", gt_values=tuple(self.times), max_element_dev=worst,
+            protocol="werner", gt_values=self.times, max_element_dev=worst,
             fidelity=fids[-1], concurrence=concs[-1], tolerance=tol,
             passed=bool(worst <= tol), per_time=tuple(zip(self.times, devs, fids, concs)))
 
@@ -408,7 +407,8 @@ def werner_forward_elements(c10_sq: float, gt: float):
     return v_plus, v_minus, w
 
 
-def werner_solve(target_vplus: float, target_w: float, gt_max: float = 2.2) -> WernerPlan:
+def werner_solve(target_vplus: float, target_w: float, gt_max: float = 2.2,
+                 dim: int = 16) -> WernerPlan:
     """Solve the |0>,|10> forward model for the target (v_plus, w) pair in closed form.
 
     With u = cos(sqrt(38) gt), the cross-multiplied consistency residual
@@ -417,7 +417,8 @@ def werner_solve(target_vplus: float, target_w: float, gt_max: float = 2.2) -> W
     gt0 = arccos(u*) / sqrt(38) with u* = (90 w - 95 v_plus) / (90 w + 95 v_plus),
     and |c10|^2 follows from either target equation. gt0 and its
     reflection period - gt0 are extended over the period lattice up to
-    gt_max. Raises when no solution exists in the feasible box or no
+    gt_max. The field sqrt(1 - x)|0> + sqrt(x)|10> is built once, on dim
+    levels. Raises when no solution exists in the feasible box or no
     solution time is <= gt_max.
     """
     tv, tw = float(target_vplus), float(target_w)
@@ -429,39 +430,37 @@ def werner_solve(target_vplus: float, target_w: float, gt_max: float = 2.2) -> W
     if tv == 0.0 and tw == 0.0:
         if gt_max < 0.0:
             raise ValueError(f"no solution time <= gt_max = {gt_max:g}; the first is 0")
-        predicted = XStateElements(v_plus=0.0, v_minus=1.0, w=0.0,
-                                   h_plus=0.0, h_minus=0.0, mu=0.0)
-        return WernerPlan(c0_sq=1.0, c10_sq=0.0, times=(0.0,),
-                          period=WERNER_PERIOD, predicted=predicted, degenerate=True)
-
-    gt0 = math.acos((90.0 * tw - 95.0 * tv) / (90.0 * tw + 95.0 * tv)) / math.sqrt(38.0)
-    vu, _, wu = werner_forward_elements(1.0, gt0)
-    if wu > 1e-15:
-        x = tw / wu
-    elif vu > 1e-15:
-        x = tv / vu
+        x, gt0, times = 0.0, 0.0, (0.0,)
     else:
-        x = math.inf  # gt0 = 0 reaches only the degenerate target handled above
-    if not x <= 1.0 + 1e-9:
-        raise ValueError("no solution in the feasible box (|c10|^2 in [0, 1], gt in one period)")
-    x = min(x, 1.0)
+        gt0 = math.acos((90.0 * tw - 95.0 * tv) / (90.0 * tw + 95.0 * tv)) / math.sqrt(38.0)
+        vu, _, wu = werner_forward_elements(1.0, gt0)
+        if wu > 1e-15:
+            x = tw / wu
+        elif vu > 1e-15:
+            x = tv / vu
+        else:
+            x = math.inf  # gt0 = 0 reaches only the degenerate target handled above
+        if not x <= 1.0 + 1e-9:
+            raise ValueError(
+                "no solution in the feasible box (|c10|^2 in [0, 1], gt in one period)")
+        x = min(x, 1.0)
 
-    times = set()
-    for base in (gt0, WERNER_PERIOD - gt0):
-        shift = 0
-        while base + shift * WERNER_PERIOD <= gt_max:
-            times.add(round(base + shift * WERNER_PERIOD, 15))
-            shift += 1
-    if not times:
-        raise ValueError(f"no solution time <= gt_max = {gt_max:g}; "
-                         f"the first is {min(gt0, WERNER_PERIOD - gt0):.6g}")
-    times = tuple(sorted(times))
+        times = set()
+        for base in (gt0, WERNER_PERIOD - gt0):
+            shift = 0
+            while base + shift * WERNER_PERIOD <= gt_max:
+                times.add(round(base + shift * WERNER_PERIOD, 15))
+                shift += 1
+        if not times:
+            raise ValueError(f"no solution time <= gt_max = {gt_max:g}; "
+                             f"the first is {min(gt0, WERNER_PERIOD - gt0):.6g}")
+        times = tuple(sorted(times))
 
     vp, vm, w = werner_forward_elements(x, gt0)
     predicted = XStateElements(v_plus=vp, v_minus=vm, w=w,
                                h_plus=0.0, h_minus=0.0, mu=0.0)
-    return WernerPlan(c0_sq=1.0 - x, c10_sq=x, times=times,
-                      period=WERNER_PERIOD, predicted=predicted)
+    fld = superpose([(0, math.sqrt(1.0 - x)), (10, math.sqrt(x))], dim)
+    return WernerPlan(c0_sq=1.0 - x, c10_sq=x, field=fld, times=times, predicted=predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -482,22 +481,10 @@ class VerificationReport:
     per_time: tuple = dataclass_field(default_factory=tuple)
 
     def to_json(self) -> dict:
-        out = {
-            "protocol": self.protocol,
-            "gt": list(self.gt_values),
-            "max_element_dev": self.max_element_dev,
-            "fidelity": self.fidelity,
-            "concurrence": self.concurrence,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-        if self.gt_peak is not None:
-            out["gt_peak"] = self.gt_peak
-        if self.prediction_dev is not None:
-            out["prediction_dev"] = self.prediction_dev
-        if self.per_time:
-            out["per_time"] = [list(row) for row in self.per_time]
-        return out
+        """Every field under its own name, gt_values as "gt"; None and an empty per_time drop."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {"gt" if name == "gt_values" else name: value
+                for name, value in values if value is not None and value != ()}
 
 
 def _concurrence_at(fld: FieldState, gts: np.ndarray) -> np.ndarray:
@@ -510,10 +497,15 @@ def _concurrence_at(fld: FieldState, gts: np.ndarray) -> np.ndarray:
     return concurrence(analytic_elements(fld, gts))
 
 
-def _pipeline_density(fld: FieldState, gt) -> np.ndarray:
-    """Reduced matrix of the evolved |gg> (x) fld: 4x4, or (T, 4, 4) for a vector gt."""
-    joint = JointState.from_field(fld, "gg")
-    return partial_trace(apply_propagator(joint, gt))
+def _measure(fld: FieldState, times, tgt: TargetState):
+    """Pipeline matrices of the evolved |gg> (x) fld at each time, measured against tgt.
+
+    Returns the (T, 4, 4) stack and, per time, lists of the max element
+    deviation from tgt, the fidelity with it and the concurrence.
+    """
+    rho = partial_trace(apply_propagator(JointState.from_field(fld, "gg"), times))
+    devs = np.max(np.abs(rho - tgt.matrix), axis=(-2, -1))
+    return rho, devs.tolist(), fidelity(rho, tgt).tolist(), concurrence(rho).tolist()
 
 
 def _plan_json(protocol: str, params: dict, fld: FieldState, gt,

@@ -14,7 +14,7 @@ import pytest
 
 from tcqubits import (analytic_elements, assemble_density, concurrence, density_to_json,
                       fidelity, target)
-from tcqubits import FieldState, cli
+from tcqubits import FieldState, cli, superpose
 from tcqubits.cli import SCAN_CHUNK, build_field, main, parse_phase
 
 
@@ -188,6 +188,14 @@ def test_scan_bad_recipe_exits_2(capsys):
     code, _, err = run_cli(["scan", "--field", "nonsense", "--gt-max", "1"], capsys)
     assert code == 2
     assert "recipe" in err
+
+
+@pytest.mark.parametrize("recipe", ["even-coherentXYZ", "even-coherent-odd", "even-coherent2"])
+def test_scan_misspelt_cat_preset_exits_2(recipe, capsys):
+    # only even-coherent and even-coherent:<alpha> name the cat preset
+    code, out, err = run_cli(["scan", "--field", recipe, "--gt-max", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert "unknown field recipe" in err
 
 
 def test_scan_runs_at_the_smallest_dim_that_holds_the_field(capsys):
@@ -446,6 +454,18 @@ def test_plan_werner(capsys):
     assert data["params"]["c10_sq"] == pytest.approx(0.726, abs=5e-4)
     assert data["gt"][0] == pytest.approx(0.314, abs=1e-3)
     assert data["verification"]["passed"] is True
+
+
+def test_plan_werner_builds_its_field_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return superpose(*args, **kwargs)
+
+    monkeypatch.setattr("tcqubits.protocols.superpose", counted)
+    assert run_cli(["plan", "werner"], capsys)[0] == 0
+    assert len(calls) == 1
 
 
 def test_plan_werner_infeasible_exits_2(capsys):

@@ -9,8 +9,9 @@ from tcqubits import (JointState, abc, analytic_elements, apply_propagator, asse
                       bell2_plan, concurrence, fidelity, first_concurrence_peak, partial_trace,
                       singlet_vector, superpose, target, verify_plan, werner_forward_elements,
                       werner_solve)
+from tcqubits.cli import SCAN_CHUNK
 from tcqubits.protocols import (NEGATIVE_BRANCH_REFERENCE_SEEDS, WERNER_PERIOD,
-                                _concurrence_at, _refine_peak, golden_section_max,
+                                _concurrence_at, _refine_peak, golden_section_max, linspace_at,
                                 negative_branch_curve, negative_branch_residuals)
 
 RNG = np.random.default_rng(77)
@@ -159,6 +160,13 @@ def test_refinement_grids_are_linspace_bit_for_bit(f, lo, hi):
     _refine_peak(recorded, lo, hi)
     for t in grids:
         assert t.tobytes() == np.linspace(t[0], t[-1], 33).tobytes()
+    # scan's chunked grid over the same window, across one, two and three chunks
+    for steps in (SCAN_CHUNK, SCAN_CHUNK + 1, 2 * SCAN_CHUNK + 1):
+        ref = np.linspace(lo, hi, steps)
+        for start in range(0, steps, SCAN_CHUNK):
+            index = np.arange(start, min(start + SCAN_CHUNK, steps), dtype=float)
+            chunk = linspace_at(lo, hi, steps - 1, index)
+            assert chunk.tobytes() == ref[start:start + SCAN_CHUNK].tobytes()
 
 
 # --- first-class Bell plan --------------------------------------------------
@@ -387,7 +395,7 @@ def test_bell2_rejects_non_odd(bad_l):
 
 def test_bell2_records_uniqueness():
     plan = bell2_plan(1)
-    assert plan.unique_m == 1
+    assert plan.to_json()["params"]["unique_m"] == 1
     assert plan.predicted.w == 0.5
     # m/(4m-2) >= 1/2 forces m <= 1 among positive integers
     assert all(m / (4 * m - 2) < 0.5 for m in range(2, 30))
@@ -448,8 +456,11 @@ def test_werner_solve_residuals():
 
 def test_werner_solve_degenerate_targets():
     plan = werner_solve(0.0, 0.0)
-    assert plan.degenerate
+    assert plan.to_json()["params"]["degenerate"] is True
     assert plan.times == (0.0,)
+    # every other target needs |c10|^2 >= min(v_plus, w) > 0
+    for targets in ((1e-300, 1e-300), (1e-12, 0.0), (0.2, 1e-9), (360 / 361, 0.0)):
+        assert werner_solve(*targets).to_json()["params"]["degenerate"] is False
 
 
 def test_werner_solve_infeasible_box():
@@ -494,7 +505,7 @@ def test_verify_werner_rows_equal_scalar_pipeline_calls(targets):
     plan = werner_solve(*targets, gt_max=12.0)
     report = verify_plan(plan)
     tgt = target("werner", eta=1.0)
-    joint = JointState.from_field(plan.field(), "gg")
+    joint = JointState.from_field(plan.field, "gg")
     assert [row[0] for row in report.per_time] == list(plan.times)
     for t, dev, fid, conc in report.per_time:
         rho = partial_trace(apply_propagator(joint, t))
@@ -512,8 +523,9 @@ def test_werner_plan_json():
                               "period": plan.period, "degenerate": False}
     assert data["params"]["c0_sq"] == pytest.approx(37 / 135, abs=1e-9)
     assert data["gt"] == list(plan.times) and len(data["gt"]) >= 2
-    assert data["field"] == plan.field().to_json()
+    assert data["field"] == plan.field.to_json() and data["field"]["dim"] == 16
     assert data["predicted"]["mu"] == [0.0, 0.0]
+    assert werner_solve(1 / 3, 1 / 6, dim=24).field.dim == 24
 
 
 # --- cross-protocol properties ----------------------------------------------

@@ -17,9 +17,11 @@ DELETED_NAMES = ("propagator_matrix", "excitation_operator", "NegativeBranchSear
                  "bell1_conditions_residual")
 DELETED_MEMBERS = (("FieldState", "from_json"), ("FieldState", "norm"),
                    ("PathComparison", "to_json"), ("FieldState", "has_headroom"))
-#: dataclass fields removed because no caller read them
+#: dataclass fields removed because no caller read them, or because their value is
+#: constant or derivable and the plan JSON writes it instead (unique_m, degenerate, period)
 DELETED_FIELDS = (("Bell2Plan", "predicted_w"), ("PathComparison", "density_argmax"),
-                  ("PathComparison", "gt"))
+                  ("PathComparison", "gt"), ("Bell2Plan", "unique_m"),
+                  ("WernerPlan", "degenerate"), ("WernerPlan", "period"))
 
 
 def test_every_exported_name_resolves_once():
