@@ -35,6 +35,7 @@ import numpy as np
 from .entanglement import TargetState, concurrence, fidelity, target
 from .fock import FieldState, coherent_state, number_state, superpose
 from .oracle import compare_paths
+from .propagator import abc
 from .reduced import analytic_elements, assemble_density, density_to_json
 from .protocols import bell1_plan, bell2_plan, linspace_at, verify_plan, werner_solve
 
@@ -177,6 +178,12 @@ def cmd_scan(args) -> int:
     if "density" in outputs and not as_json:
         raise UsageError("density output requires --format json")
     fld, preset_target = build_field(args.field, args.dim)
+    top = int(np.flatnonzero(fld.amplitudes)[-1])
+    try:   # the grid lies inside the window, so its ends bound every phase gt sqrt(C)
+        abc(max(top - 1, 0), np.array([args.gt_min, args.gt_max]))
+    except ValueError:
+        raise UsageError(f"the window [{args.gt_min:g}, {args.gt_max:g}] overflows "
+                         f"gt sqrt(C) on the field's top manifold N = {top}") from None
     fid_target = fid_target or preset_target
     if "fidelity" in outputs and fid_target is None:
         raise UsageError("fidelity output requires --target for this recipe")

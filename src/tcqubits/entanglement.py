@@ -145,11 +145,9 @@ def _yu_eberly_form(r14, p23, r23, p14):
 
 @dataclass(frozen=True, eq=False)  # holds arrays: == is identity, hash is by id
 class TargetState:
-    """A preparation target: kind, its parameter, the exact matrix and, for
-    a pure target, its state vector (None for a mixed target)."""
+    """A preparation target: the exact matrix and, for a pure target, its
+    state vector (None for a mixed target)."""
 
-    kind: str
-    parameter: float
     matrix: np.ndarray
     vector: np.ndarray | None = None
 
@@ -185,10 +183,10 @@ def target(kind: str, phi: float = 0.0, eta: float | None = None) -> TargetState
         if not math.isfinite(phi):
             raise ValueError(f"phi = {phi} is not finite")
         v = bell1_vector(phi)
-        return TargetState("bell1", float(phi), np.outer(v, v.conj()), v)
+        return TargetState(np.outer(v, v.conj()), v)
     if kind == "bell2":
         v = bell2_vector()
-        return TargetState("bell2", 0.0, np.outer(v, v.conj()), v)
+        return TargetState(np.outer(v, v.conj()), v)
     if kind == "werner":
         if eta is None:
             raise ValueError("werner target needs eta")
@@ -203,7 +201,7 @@ def target(kind: str, phi: float = 0.0, eta: float | None = None) -> TargetState
             [0, o, c, 0],
             [0, 0, 0, d],
         ], dtype=complex)
-        return TargetState("werner", float(eta), mat)
+        return TargetState(mat)
     raise ValueError(f"unknown target kind {kind!r}")
 
 

@@ -104,15 +104,18 @@ def abc(n, gt):
     may be scalars or broadcastable arrays (A and B take their broadcast
     shape, C the shape of n); all-scalar input returns floats. n must be
     >= 0 (C would go negative otherwise, putting an imaginary argument
-    under the cosine).
+    under the cosine), and gt sqrt(C) finite: a NaN, an infinite gt or a
+    product that overflows raises, with no warning.
     """
     n_arr = np.asarray(n, dtype=float)
-    if np.any(n_arr < 0):
+    if (n_arr < 0).any():   # the method skips np.any's dispatch, paying for the errstate
         raise ValueError("abc requires n >= 0; callers guard the n-1 terms themselves")
-    if not np.isfinite(gt).all():
-        raise ValueError("gt must be finite")
     C = 2.0 * (2.0 * n_arr + 1.0)
-    arg = gt * np.sqrt(C)
+    with np.errstate(over="ignore"):
+        arg = gt * np.sqrt(C)
+    if not np.isfinite(arg).all():
+        raise ValueError("gt must be finite" if not np.isfinite(gt).all()
+                         else "gt * sqrt(C) overflows")
     if arg.ndim == 0:
         return float(np.cos(arg)), float(np.sin(arg)), float(C)
     return np.cos(arg), np.sin(arg), C

@@ -28,6 +28,9 @@ from .propagator import JointState, apply_propagator
 from .reduced import XStateElements, analytic_elements, assemble_density, partial_trace
 
 WERNER_PERIOD = 2.0 * math.pi / math.sqrt(38.0)
+#: most lattice points werner_solve lists from gt0, two times each at most;
+#: verify holds 4 x dim complex values per time (1 kB at dim 16)
+WERNER_MAX_LATTICE = 10_000
 #: 0..32, the sample indices of one _refine_peak grid
 _GRID = np.arange(33.0)
 _GRID.flags.writeable = False
@@ -265,21 +268,25 @@ def negative_branch_curve(m: float) -> float:
 
 @dataclass(frozen=True)
 class NegativeBranchRoot:
+    """A point of the sign-flipped branch's solution curve, never a feasible recipe.
+
+    A(m-1) = A(m+1) = -1 must hold at one gt: gt sqrt(2(2m-1)) and
+    gt sqrt(2(2m+3)) odd multiples of pi, so sqrt((2m+3)/(2m-1)) rational,
+    which needs (2m-1)(2m+3) to be a perfect square. For every integer
+    m >= 1 it is not: (2m-1)(2m+3) = (2m+1)^2 - 4 lies strictly between
+    (2m)^2 and (2m+1)^2. Below m = 1 the m-1 block is unphysical. So no
+    point of the curve is feasible, and reason says why for this one.
+    """
+
     c_m_sq: float
     m: float
-    feasible: bool
     reason: str
 
+    feasible: ClassVar[bool] = False
 
-def _classify_root(x: float, m: float) -> tuple[bool, str]:
-    """Feasibility of the curve point (|c_m|^2 = x, m), with a reason for each failure.
 
-    Besides |c_m|^2 in [0, 1], m must be an integer >= 1 (below 1 the m-1
-    block is unphysical, the rule bell1_plan applies), and A(m-1) = A(m+1)
-    = -1 must hold at one gt: gt sqrt(2(2m-1)) and gt sqrt(2(2m+3)) odd
-    multiples of pi, so sqrt((2m+3)/(2m-1)) rational, which needs
-    (2m-1)(2m+3) to be a perfect square.
-    """
+def _classify_root(x: float, m: float) -> str:
+    """Why the curve point (|c_m|^2 = x, m) is infeasible; NegativeBranchRoot has the proof."""
     problems = []
     if not 0.0 <= x <= 1.0:
         problems.append(f"|c_m|^2 = {x:.6f} outside [0, 1]")
@@ -287,13 +294,9 @@ def _classify_root(x: float, m: float) -> tuple[bool, str]:
     if abs(m - k) > 1e-6 or k < 1:
         problems.append(f"m = {m:.6f} is not an integer >= 1 (the m-1 block is unphysical)")
     else:
-        p = (2 * k - 1) * (2 * k + 3)
-        if math.isqrt(p) ** 2 != p:
-            problems.append(f"(2m-1)(2m+3) = {p} is not a perfect square, so "
-                            "A(m-1) = A(m+1) = -1 cannot hold at one gt")
-    if problems:
-        return False, "; ".join(problems)
-    return True, "feasible"
+        problems.append(f"(2m-1)(2m+3) = {(2 * k - 1) * (2 * k + 3)} is not a perfect square, "
+                        "so A(m-1) = A(m+1) = -1 cannot hold at one gt")
+    return "; ".join(problems)
 
 
 def bell1_negative_branch_roots(ms=None) -> tuple[NegativeBranchRoot, ...]:
@@ -303,16 +306,14 @@ def bell1_negative_branch_roots(ms=None) -> tuple[NegativeBranchRoot, ...]:
     zero identically), so their solutions form the curve
     |c_m|^2 = negative_branch_curve(m) rather than isolated roots. Each
     query m (default: the reference points' m values) yields the curve
-    point there, flagged infeasible when |c_m|^2 leaves [0, 1], m is not an
-    integer >= 1, or A(m-1) = A(m+1) = -1 cannot hold at a single gt (see
-    _classify_root).
+    point there, with the reason it is infeasible.
     """
     if ms is None:
         ms = [m for _, m in NEGATIVE_BRANCH_REFERENCE_SEEDS]
     roots = []
     for m in map(float, ms):
         x = negative_branch_curve(m)
-        roots.append(NegativeBranchRoot(x, m, *_classify_root(x, m)))
+        roots.append(NegativeBranchRoot(x, m, _classify_root(x, m)))
     return tuple(roots)
 
 
@@ -411,15 +412,15 @@ def werner_solve(target_vplus: float, target_w: float, gt_max: float = 2.2,
                  dim: int = 16) -> WernerPlan:
     """Solve the |0>,|10> forward model for the target (v_plus, w) pair in closed form.
 
-    With u = cos(sqrt(38) gt), the cross-multiplied consistency residual
-    w * v_plus_unit(gt) - v_plus * w_unit(gt) factors as
-    (u - 1) [90 w (u - 1) + 95 v_plus (1 + u)] / 361, so the base time is
-    gt0 = arccos(u*) / sqrt(38) with u* = (90 w - 95 v_plus) / (90 w + 95 v_plus),
-    and |c10|^2 follows from either target equation. gt0 and its
-    reflection period - gt0 are extended over the period lattice up to
-    gt_max. The field sqrt(1 - x)|0> + sqrt(x)|10> is built once, on dim
-    levels. Raises when no solution exists in the feasible box or no
-    solution time is <= gt_max.
+    With u = cos(sqrt(38) gt) and s = 90 w + 95 v_plus, the consistency
+    residual w * v_plus_unit(gt) - v_plus * w_unit(gt) factors as
+    (u - 1) [90 w (u - 1) + 95 v_plus (1 + u)] / 361, so gt0 = arccos(u*) / sqrt(38)
+    with u* = (90 w - 95 v_plus) / s, and both target equations give
+    |c10|^2 = s^2 / (9000 v_plus), feasible up to 1. gt0 <= period / 2 and
+    period - gt0 are extended over the period lattice up to gt_max, at most
+    WERNER_MAX_LATTICE points from gt0. The field sqrt(1 - x)|0> + sqrt(x)|10>
+    is built once, on dim levels. Raises when no solution is feasible, none
+    is <= gt_max, or the lattice is too long.
     """
     tv, tw = float(target_vplus), float(target_w)
     if not (tv >= 0 and tw >= 0 and tv + 2.0 * tw <= 1.0 + 1e-12):
@@ -428,33 +429,25 @@ def werner_solve(target_vplus: float, target_w: float, gt_max: float = 2.2,
         raise ValueError("gt_max must be finite")
 
     if tv == 0.0 and tw == 0.0:
-        if gt_max < 0.0:
-            raise ValueError(f"no solution time <= gt_max = {gt_max:g}; the first is 0")
-        x, gt0, times = 0.0, 0.0, (0.0,)
+        x, gt0, lattice = 0.0, 0.0, [0.0]   # the vacuum never evolves: one time is all
     else:
-        gt0 = math.acos((90.0 * tw - 95.0 * tv) / (90.0 * tw + 95.0 * tv)) / math.sqrt(38.0)
-        vu, _, wu = werner_forward_elements(1.0, gt0)
-        if wu > 1e-15:
-            x = tw / wu
-        elif vu > 1e-15:
-            x = tv / vu
-        else:
-            x = math.inf  # gt0 = 0 reaches only the degenerate target handled above
+        s = 90.0 * tw + 95.0 * tv
+        x = s / tv * (s / 9000.0) if tv else math.inf   # in this order: (1e-300, 1e-300) > 0
         if not x <= 1.0 + 1e-9:
             raise ValueError(
                 "no solution in the feasible box (|c10|^2 in [0, 1], gt in one period)")
         x = min(x, 1.0)
-
-        times = set()
-        for base in (gt0, WERNER_PERIOD - gt0):
-            shift = 0
-            while base + shift * WERNER_PERIOD <= gt_max:
-                times.add(round(base + shift * WERNER_PERIOD, 15))
-                shift += 1
-        if not times:
-            raise ValueError(f"no solution time <= gt_max = {gt_max:g}; "
-                             f"the first is {min(gt0, WERNER_PERIOD - gt0):.6g}")
-        times = tuple(sorted(times))
+        gt0 = math.acos((90.0 * tw - 95.0 * tv) / s) / math.sqrt(38.0)
+        n = math.floor((gt_max - gt0) / WERNER_PERIOD) + 1
+        if n > WERNER_MAX_LATTICE:
+            raise ValueError(f"gt_max = {gt_max:g} needs {n:.6g} lattice points from gt0; "
+                             f"at most {WERNER_MAX_LATTICE} are listed")
+        # k runs one past n, which is rounded: the filter drops what lies past gt_max
+        lattice = [base + k * WERNER_PERIOD
+                   for base in (gt0, WERNER_PERIOD - gt0) for k in range(n + 1)]
+    times = tuple(sorted({round(t, 15) for t in lattice if t <= gt_max}))
+    if not times:
+        raise ValueError(f"no solution time <= gt_max = {gt_max:g}; the first is {gt0:.6g}")
 
     vp, vm, w = werner_forward_elements(x, gt0)
     predicted = XStateElements(v_plus=vp, v_minus=vm, w=w,

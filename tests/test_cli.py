@@ -249,12 +249,17 @@ def test_scan_nonfinite_window_exits_2(capsys):
     assert err.strip() == "error: --gt-min and --gt-max must be finite"
 
 
-def test_scan_overflowing_window_exits_2(capsys):
-    code, out, err = run_cli(["scan", "--field", "vacuum", "--gt-min=-1e308", "--gt-max=1e308",
-                              "--steps", "3"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.strip() == "error: --gt-max - --gt-min overflows"
+@pytest.mark.parametrize("argv, message", [
+    (["--field", "vacuum", "--gt-min=-1e308", "--gt-max=1e308", "--steps", "3"],
+     "--gt-max - --gt-min overflows"),
+    (["--field", "bell1-m30", "--gt-max", "1e308", "--steps", "2"],
+     "the window [0, 1e+308] overflows gt sqrt(C) on the field's top manifold N = 32"),
+], ids=["width", "phase"])
+def test_scan_overflowing_window_exits_2(argv, message, capsys):
+    # gt sqrt(C) at the top manifold N = 32 is 1e308 sqrt(126), past the largest float
+    code, out, err = run_cli(["scan", *argv], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err.strip() == f"error: {message}"
 
 
 def test_scan_density_requires_json(capsys):
@@ -554,6 +559,13 @@ def test_plan_werner_infinite_gt_max_exits_2(capsys):
     code, _, err = run_cli(["plan", "werner", "--gt-max", "inf"], capsys)
     assert code == 2
     assert "gt_max must be finite" in err
+
+
+def test_plan_werner_unbounded_gt_max_exits_2_at_once(time_limit, capsys):
+    with time_limit(2.0):
+        code, out, err = run_cli(["plan", "werner", "--gt-max", "1e300"], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert "at most 10000 are listed" in err
 
 
 def test_plan_werner_gt_max_below_first_time_exits_2(capsys):

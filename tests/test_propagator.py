@@ -39,6 +39,18 @@ def test_abc_rejects_negative_n():
         abc(-1, 0.3)
 
 
+def test_abc_rejects_an_overflowing_phase():
+    # the suite turns warnings into errors, so each case also shows that none is emitted
+    with pytest.raises(ValueError, match=r"gt \* sqrt\(C\) overflows"):
+        abc(9, 1e308)
+    with pytest.raises(ValueError, match=r"gt \* sqrt\(C\) overflows"):
+        abc(np.arange(3.0), np.array([[0.5], [-1e308]]))
+    with pytest.raises(ValueError, match="gt must be finite"):
+        abc(9, np.array([0.5, np.inf]))
+    A, B, C = abc(0, 1e308)   # sqrt(2) 1e308 is still finite
+    assert (C, A * A + B * B) == (2.0, pytest.approx(1.0, abs=1e-15))
+
+
 def test_identity_at_gt_zero():
     state = random_joint()
     out = apply_propagator(state, 0.0)

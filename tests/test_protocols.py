@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -6,13 +7,13 @@ import pytest
 
 from tcqubits import (JointState, abc, analytic_elements, apply_propagator, assemble_density,
                       bell1_negative_branch_roots, bell1_plan, bell1_purity_factor, bell1_time,
-                      bell2_plan, concurrence, fidelity, first_concurrence_peak, partial_trace,
-                      singlet_vector, superpose, target, verify_plan, werner_forward_elements,
-                      werner_solve)
+                      bell2_plan, concurrence, evolve_oracle, fidelity, first_concurrence_peak,
+                      partial_trace, singlet_vector, superpose, target, verify_plan,
+                      werner_forward_elements, werner_solve)
 from tcqubits.cli import SCAN_CHUNK
-from tcqubits.protocols import (NEGATIVE_BRANCH_REFERENCE_SEEDS, WERNER_PERIOD,
-                                _concurrence_at, _refine_peak, golden_section_max, linspace_at,
-                                negative_branch_curve, negative_branch_residuals)
+from tcqubits.protocols import (NEGATIVE_BRANCH_REFERENCE_SEEDS, WERNER_MAX_LATTICE,
+                                WERNER_PERIOD, _concurrence_at, _refine_peak, golden_section_max,
+                                linspace_at, negative_branch_curve, negative_branch_residuals)
 
 RNG = np.random.default_rng(77)
 
@@ -480,6 +481,59 @@ def test_werner_solve_rejects_inconsistent_targets():
         werner_solve(0.6, 0.25)
 
 
+def test_werner_weight_is_the_exact_closed_form():
+    # |c10|^2 = s^2 / (9000 v_plus), s = 90 w + 95 v_plus, against rational arithmetic
+    # on the float targets; a round trip through the forward model lost up to 3.6e-11 here
+    rng = np.random.default_rng(18)
+    worst, checked = Fraction(0), 0
+    for x, gt in zip(rng.uniform(0.0, 1.0, 1100), rng.uniform(0.0, WERNER_PERIOD / 2, 1100)):
+        v_plus, _, w = werner_forward_elements(x, gt)
+        s = 90 * Fraction(w) + 95 * Fraction(v_plus)
+        exact = s * s / (9000 * Fraction(v_plus))
+        if exact > 1:
+            continue
+        checked += 1
+        worst = max(worst, abs(Fraction(werner_solve(v_plus, w).c10_sq) - exact) / exact)
+    assert checked >= 1000
+    assert worst <= 1e-15
+
+
+def werner_base_time(v_plus, w):
+    return math.acos((90.0 * w - 95.0 * v_plus) / (90.0 * w + 95.0 * v_plus)) / math.sqrt(38.0)
+
+
+def enumerated_lattice(gt0, gt_max):
+    """Both bases, gt0 and period - gt0, stepped one period at a time up to gt_max."""
+    times = []
+    for base in (gt0, WERNER_PERIOD - gt0):
+        k = 0
+        while base + k * WERNER_PERIOD <= gt_max:
+            times.append(round(base + k * WERNER_PERIOD, 15))
+            k += 1
+    return tuple(sorted(set(times)))
+
+
+@pytest.mark.parametrize("targets", [(1 / 3, 1 / 6), (0.6, 0.0), (0.01, 0.001)],
+                         ids=["default", "w=0", "small"])
+@pytest.mark.parametrize("gt_max", [2.2, 12.0, 100.0, "on-a-point", "at-the-cap"])
+def test_werner_times_are_the_enumerated_lattice(targets, gt_max):
+    # at w = 0, gt0 = period / 2 and the two bases merge
+    gt0 = werner_base_time(*targets)
+    if gt_max == "on-a-point":   # a lattice point is kept when gt_max equals it
+        gt_max = gt0 + 3 * WERNER_PERIOD
+        assert round(gt_max, 15) in werner_solve(*targets, gt_max=gt_max).times
+    elif gt_max == "at-the-cap":   # the longest lattice listed: one period more raises
+        gt_max = gt0 + (WERNER_MAX_LATTICE - 0.5) * WERNER_PERIOD
+        with pytest.raises(ValueError, match=f"at most {WERNER_MAX_LATTICE} are listed"):
+            werner_solve(*targets, gt_max=gt_max + WERNER_PERIOD)
+    assert werner_solve(*targets, gt_max=gt_max).times == enumerated_lattice(gt0, gt_max)
+
+
+def test_werner_solve_rejects_an_unbounded_gt_max_at_once(time_limit):
+    with time_limit(2.0), pytest.raises(ValueError, match="lattice points"):
+        werner_solve(1 / 3, 1 / 6, gt_max=1e300)
+
+
 def test_werner_forward_periodicity_and_reflection():
     for _ in range(25):
         x = float(RNG.uniform(0, 1))
@@ -541,6 +595,23 @@ def test_never_reaches_singlet():
         gt = float(RNG.uniform(0, 12))
         rho = assemble_density(analytic_elements(fld, gt))
         assert fidelity(rho, proj) <= 0.5 + 1e-9
+
+
+@pytest.mark.parametrize("qubits, weight", [("eg", 0.5), ("ge", 0.5), ("gg", 0.0), ("ee", 0.0)])
+def test_singlet_weight_never_moves_on_either_route(qubits, weight):
+    # Psi- (x) |n> is dark, since the collective sigma+- annihilate Psi-, so the
+    # singlet weight keeps its initial value for every field and time
+    psi = singlet_vector()
+    rng = np.random.default_rng(4)
+    for _ in range(6):
+        support = int(rng.integers(1, 17))
+        amps = rng.normal(size=support) + 1j * rng.normal(size=support)
+        joint = JointState.from_field(superpose(list(enumerate(amps)), dim=support + 8), qubits)
+        gts = np.sort(rng.uniform(0.0, 20.0, 40))
+        for evolve in (apply_propagator, evolve_oracle):
+            rho = partial_trace(evolve(joint, gts))
+            singlet = np.einsum("i,tij,j->t", psi.conj(), rho, psi).real
+            assert np.max(np.abs(singlet - weight)) <= 1e-14, evolve.__name__
 
 
 def test_pipeline_matches_analytic_at_plan_times():

@@ -18,10 +18,13 @@ DELETED_NAMES = ("propagator_matrix", "excitation_operator", "NegativeBranchSear
 DELETED_MEMBERS = (("FieldState", "from_json"), ("FieldState", "norm"),
                    ("PathComparison", "to_json"), ("FieldState", "has_headroom"))
 #: dataclass fields removed because no caller read them, or because their value is
-#: constant or derivable and the plan JSON writes it instead (unique_m, degenerate, period)
+#: constant or derivable and the plan JSON writes it instead (unique_m, degenerate, period),
+#: or because it is a theorem (NegativeBranchRoot.feasible is always False)
 DELETED_FIELDS = (("Bell2Plan", "predicted_w"), ("PathComparison", "density_argmax"),
                   ("PathComparison", "gt"), ("Bell2Plan", "unique_m"),
-                  ("WernerPlan", "degenerate"), ("WernerPlan", "period"))
+                  ("WernerPlan", "degenerate"), ("WernerPlan", "period"),
+                  ("TargetState", "kind"), ("TargetState", "parameter"),
+                  ("NegativeBranchRoot", "feasible"))
 
 
 def test_every_exported_name_resolves_once():
