@@ -10,9 +10,8 @@ from .fock import FieldState, coherent_state, number_state, superpose
 from .propagator import BASIS, HeadroomError, JointState, abc, apply_propagator
 from .reduced import (XStateElements, analytic_elements, assemble_density, check_density,
                       density_to_json, is_x_type, partial_trace)
-from .entanglement import (TargetState, bell1_vector, bell2_vector, concurrence,
-                           concurrence_wootters, concurrence_x_state, fidelity,
-                           singlet_vector, target)
+from .entanglement import (TargetState, concurrence, concurrence_wootters, concurrence_x_state,
+                           fidelity, singlet_vector, target)
 from .oracle import PathComparison, build_hamiltonian, compare_paths, evolve_oracle
 from .protocols import (Bell1Plan, Bell2Plan, NegativeBranchRoot, VerificationReport,
                         WernerPlan, bell1_negative_branch_roots, bell1_plan,
@@ -26,8 +25,8 @@ __all__ = [
     "BASIS", "HeadroomError", "JointState", "abc", "apply_propagator",
     "XStateElements", "analytic_elements", "assemble_density", "check_density",
     "density_to_json", "is_x_type", "partial_trace",
-    "TargetState", "bell1_vector", "bell2_vector", "concurrence", "concurrence_wootters",
-    "concurrence_x_state", "fidelity", "singlet_vector", "target",
+    "TargetState", "concurrence", "concurrence_wootters", "concurrence_x_state", "fidelity",
+    "singlet_vector", "target",
     "PathComparison", "build_hamiltonian", "compare_paths", "evolve_oracle",
     "Bell1Plan", "Bell2Plan", "NegativeBranchRoot", "VerificationReport", "WernerPlan",
     "bell1_negative_branch_roots", "bell1_plan", "bell1_purity_factor", "bell1_time",

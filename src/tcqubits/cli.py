@@ -71,24 +71,23 @@ def parse_phase(text: str) -> float:
     return phase
 
 
-def build_field(recipe: str, dim: int) -> tuple[FieldState, TargetState | None]:
-    """Resolve a preset name or explicit superposition into a field state.
+#: name -> dim -> (field, its natural fidelity target or None); a protocol's field is its plan's
+PRESETS = {
+    "vacuum": lambda dim: (number_state(0, dim), None),
+    "single-photon": lambda dim: (bell2_plan(1, dim=dim).field, target("bell2")),
+    "bell1-m30": lambda dim: (bell1_plan(30, math.pi, dim=dim).field, target("bell1", phi=math.pi)),
+    "bell1-m40": lambda dim: (bell1_plan(40, 0.0, dim=dim).field, target("bell1", phi=0.0)),
+    "werner": lambda dim: (werner_solve(1 / 3, 1 / 6, dim=dim).field, target("werner", eta=1.0)),
+}
+PRESET_NAMES = ", ".join(PRESETS) + ", even-coherent[:alpha]"   # as help and errors list them
 
-    Returns the field plus the natural fidelity target for presets that
-    have one (None otherwise).
-    """
+
+def build_field(recipe: str, dim: int) -> tuple[FieldState, TargetState | None]:
+    """Resolve a preset, an even cat or an explicit superposition into (field, target or None)."""
     name = recipe.strip()
     try:
-        if name == "vacuum":
-            return number_state(0, dim), None
-        if name == "single-photon":
-            return number_state(1, dim), target("bell2")
-        if name == "bell1-m30":
-            return bell1_plan(30, math.pi, dim=dim).field, target("bell1", phi=math.pi)
-        if name == "bell1-m40":
-            return bell1_plan(40, 0.0, dim=dim).field, target("bell1", phi=0.0)
-        if name == "werner":
-            return werner_solve(1.0 / 3.0, 1.0 / 6.0, dim=dim).field, target("werner", eta=1.0)
+        if name in PRESETS:
+            return PRESETS[name](dim)
         kind, colon, alpha = name.partition(":")
         if kind == "even-coherent":
             return coherent_state(float(alpha) if colon else 2.0, dim, parity="even"), None
@@ -102,8 +101,7 @@ def build_field(recipe: str, dim: int) -> tuple[FieldState, TargetState | None]:
     except (ValueError, IndexError) as exc:
         raise UsageError(f"invalid field recipe {recipe!r}: {exc}") from exc
     raise UsageError(
-        f"unknown field recipe {recipe!r}; presets: vacuum, single-photon, "
-        "bell1-m30, bell1-m40, werner, even-coherent[:alpha], or 'n:re,im;n:re,im'")
+        f"unknown field recipe {recipe!r}; presets: {PRESET_NAMES}, or 'n:re,im;n:re,im'")
 
 
 def parse_target(text: str) -> TargetState | None:
@@ -255,7 +253,7 @@ def cmd_validate(args) -> int:
     support = min(40, dim - 8)
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    presets = {name: build_field(name, dim)[0] for name in ("bell1-m30", "single-photon", "werner")}
+    presets = {name: PRESETS[name](dim)[0] for name in ("bell1-m30", "single-photon", "werner")}
 
     rng = np.random.default_rng(args.seed)
     gts = np.array(VALIDATE_GT_GRID)
@@ -289,13 +287,17 @@ class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that takes every negative float() form and '-pi' phase as a value.
 
     argparse's own test knows only the '-1' and '-.5' forms, so '-1e-3',
-    '-inf' and '-pi/2' would read as options. Subparsers take the class
-    of the parser that adds them.
+    '-inf' and '-pi/2' would read as options. Its errors raise UsageError,
+    which main prints as one line, instead of printing usage and exiting.
+    Subparsers take the class of the parser that adds them.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan|-pi", re.IGNORECASE)
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 @lru_cache(maxsize=1)
@@ -313,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", parents=[output], help="emit element/concurrence time series")
     scan.add_argument("--field", required=True,
-                      help="preset (vacuum, single-photon, bell1-m30, bell1-m40, werner, "
-                           "even-coherent[:alpha]) or explicit 'n:re,im;n:re,im'")
+                      help=f"preset ({PRESET_NAMES}) or explicit 'n:re,im;n:re,im'")
     scan.add_argument("--dim", type=int, default=64)
     scan.add_argument("--gt-min", type=float, default=0.0)
     scan.add_argument("--gt-max", type=float, required=True)
@@ -349,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    command = {"scan": cmd_scan, "plan": cmd_plan, "validate": cmd_validate}[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        command = {"scan": cmd_scan, "plan": cmd_plan, "validate": cmd_validate}[args.command]
         tol = getattr(args, "tol", None)
         if tol is not None and not math.isfinite(tol):
             raise UsageError("--tol must be finite")

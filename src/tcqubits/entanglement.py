@@ -159,16 +159,6 @@ class TargetState:
                 object.__setattr__(self, name, m)
 
 
-def bell1_vector(phi: float) -> np.ndarray:
-    """(|ee> + e^{i phi}|gg>)/sqrt(2) as an amplitude vector."""
-    return np.array([1.0, 0.0, 0.0, np.exp(1j * phi)]) / math.sqrt(2.0)
-
-
-def bell2_vector() -> np.ndarray:
-    """(|eg> + |ge>)/sqrt(2)."""
-    return np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
-
-
 def singlet_vector() -> np.ndarray:
     """(|eg> - |ge>)/sqrt(2); unreachable from |gg> under this dynamics."""
     return np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
@@ -177,15 +167,16 @@ def singlet_vector() -> np.ndarray:
 def target(kind: str, phi: float = 0.0, eta: float | None = None) -> TargetState:
     """Target density matrix for kind in {'bell1', 'bell2', 'werner'}.
 
-    bell1 takes the relative phase phi; werner takes eta in [0, 1].
+    bell1 = (|ee> + e^{i phi}|gg>)/sqrt(2) and bell2 = (|eg> + |ge>)/sqrt(2)
+    carry their vector; werner takes eta in [0, 1].
     """
     if kind == "bell1":
         if not math.isfinite(phi):
             raise ValueError(f"phi = {phi} is not finite")
-        v = bell1_vector(phi)
+        v = np.array([1.0, 0.0, 0.0, np.exp(1j * phi)]) / math.sqrt(2.0)
         return TargetState(np.outer(v, v.conj()), v)
     if kind == "bell2":
-        v = bell2_vector()
+        v = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
         return TargetState(np.outer(v, v.conj()), v)
     if kind == "werner":
         if eta is None:

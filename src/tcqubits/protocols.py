@@ -280,23 +280,21 @@ class NegativeBranchRoot:
 
     c_m_sq: float
     m: float
-    reason: str
 
     feasible: ClassVar[bool] = False
 
-
-def _classify_root(x: float, m: float) -> str:
-    """Why the curve point (|c_m|^2 = x, m) is infeasible; NegativeBranchRoot has the proof."""
-    problems = []
-    if not 0.0 <= x <= 1.0:
-        problems.append(f"|c_m|^2 = {x:.6f} outside [0, 1]")
-    k = round(m)
-    if abs(m - k) > 1e-6 or k < 1:
-        problems.append(f"m = {m:.6f} is not an integer >= 1 (the m-1 block is unphysical)")
-    else:
-        problems.append(f"(2m-1)(2m+3) = {(2 * k - 1) * (2 * k + 3)} is not a perfect square, "
-                        "so A(m-1) = A(m+1) = -1 cannot hold at one gt")
-    return "; ".join(problems)
+    @property
+    def reason(self) -> str:
+        """Why this point is infeasible, derived from (c_m_sq, m)."""
+        x, m = self.c_m_sq, self.m
+        problems = [] if 0.0 <= x <= 1.0 else [f"|c_m|^2 = {x:.6f} outside [0, 1]"]
+        k = round(m)
+        if abs(m - k) > 1e-6 or k < 1:
+            problems.append(f"m = {m:.6f} is not an integer >= 1 (the m-1 block is unphysical)")
+        else:
+            problems.append(f"(2m-1)(2m+3) = {(2 * k - 1) * (2 * k + 3)} is not a perfect "
+                            "square, so A(m-1) = A(m+1) = -1 cannot hold at one gt")
+        return "; ".join(problems)
 
 
 def bell1_negative_branch_roots(ms=None) -> tuple[NegativeBranchRoot, ...]:
@@ -310,11 +308,7 @@ def bell1_negative_branch_roots(ms=None) -> tuple[NegativeBranchRoot, ...]:
     """
     if ms is None:
         ms = [m for _, m in NEGATIVE_BRANCH_REFERENCE_SEEDS]
-    roots = []
-    for m in map(float, ms):
-        x = negative_branch_curve(m)
-        roots.append(NegativeBranchRoot(x, m, _classify_root(x, m)))
-    return tuple(roots)
+    return tuple(NegativeBranchRoot(negative_branch_curve(m), m) for m in map(float, ms))
 
 
 # ---------------------------------------------------------------------------

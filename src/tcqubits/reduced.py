@@ -107,18 +107,15 @@ def analytic_elements(field: FieldState, gt) -> XStateElements:
 def _support_terms(field: FieldState):
     """What _element_sums needs of a field alone, derived once per field.
 
-    The support levels S and the time-free parts of the factors e, g and
-    h: 2 sqrt(N(N - 1)), 2N and sqrt(N / C) with C = C(N - 1) of abc,
-    where abc's argument N - 1 is clamped at 0. Then the weights |c_N|^2
-    and, per pair distance d = 1, 2, the columns of N and N + d in S and
-    real and imaginary parts of phase * c_N conj(c_{N+d}). The key is the
-    field itself, compared by identity, so a new field builds new terms.
+    The support levels S as abc's argument N - 1, clamped at 0, and as N
+    (C comes from abc alone); 2 sqrt(N(N - 1)) of the factor e; the weights
+    |c_N|^2; and, per pair distance d = 1, 2, the columns of N and N + d in
+    S and real and imaginary parts of phase * c_N conj(c_{N+d}). The key is
+    the field itself, compared by identity, so a new field builds new terms.
     """
     c = field.amplitudes
     levels = np.flatnonzero(c)
     n = levels.astype(float)
-    n_abc = np.maximum(n - 1.0, 0.0)
-    C = 2.0 * (2.0 * n_abc + 1.0)
     column = np.full(c.size + 2, -1)   # column of level N in the factors, -1 off S
     column[levels] = np.arange(levels.size)
     pairs = []   # the phases are those of h_plus, h_minus (d = 1) and mu (d = 2)
@@ -128,8 +125,7 @@ def _support_terms(field: FieldState):
         j = j[i]
         q = c[levels[i]] * c[levels[j]].conj()
         pairs.append((i, j, np.array([[(p * q).real, (p * q).imag] for p in phases])))
-    terms = (n_abc, 2.0 * np.sqrt(n * (n - 1.0)), 2.0 * n, np.sqrt(n / C),
-             np.abs(c[levels]) ** 2)
+    terms = (np.maximum(n - 1.0, 0.0), n, 2.0 * np.sqrt(n * (n - 1.0)), np.abs(c[levels]) ** 2)
     for array in terms + sum(pairs, ()):
         array.flags.writeable = False   # every later call on this field shares them
     return terms + (pairs,)
@@ -147,11 +143,11 @@ def _element_sums(terms, times: np.ndarray):
     fancy index, keeps every product row-major, so each row sums pairwise
     exactly as a batch of one does.
     """
-    n_abc, e_scale, g_scale, h_scale, weights, pairs = terms
+    n_abc, n, e_scale, weights, pairs = terms
     A, B, C = abc(n_abc, times[:, None])
     f2 = (A - 1.0) / C
     E, G, H = range(3)   # rows of factors, (T, 3, |S|)
-    factors = np.stack([e_scale * f2, 1.0 + g_scale * f2, B * h_scale], axis=1)
+    factors = np.stack([e_scale * f2, 1.0 + 2.0 * n * f2, B * np.sqrt(n / C)], axis=1)
     v_plus, v_minus, w = np.sum(factors * factors * weights, axis=-1).T
 
     def pair_sums(d, left, right):

@@ -39,6 +39,8 @@ def test_parse_phase_forms():
     assert parse_phase("1.25") == 1.25
     with pytest.raises(Exception):
         parse_phase("2tau")
+    with pytest.raises(cli.UsageError, match=r"^cannot parse phase 'pi3'$"):
+        parse_phase("pi3")
 
 
 def test_scan_single_photon_periodic_maxima(capsys):
@@ -652,3 +654,59 @@ def test_repeated_calls_print_what_a_fresh_process_prints(capsys):
         fresh = subprocess.run([sys.executable, "-m", "tcqubits", *argv], env=env,
                                capture_output=True, text=True, timeout=120)
         assert (code, out) == (fresh.returncode, fresh.stdout), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--gt-max", "1"],
+    ["scan", "--field", "vacuum", "--gt-max", "x"],
+    ["scan", "--field", "vacuum", "--gt-max", "1", "--format", "xml"],
+    ["frobnicate"],
+    ["plan"],
+], ids=["missing-field", "bad-float", "bad-choice", "unknown-command", "no-protocol"])
+def test_argparse_errors_are_one_line_usage_errors(argv, capsys):
+    # returned, not raised as SystemExit, and with no usage block
+    code, out, err = run_cli(argv, capsys)
+    assert_one_line_usage_error(code, out, err)
+
+
+SCAN_VACUUM = ["scan", "--field", "vacuum", "--dim", "8"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SCAN_VACUUM + ["--gt-min", "2", "--gt-max", "1"], "--gt-min must be smaller than --gt-max"),
+    (SCAN_VACUUM + ["--gt-max", "1", "--steps", "1"], "--steps must be >= 2"),
+    (SCAN_VACUUM + ["--gt-max", "1", "--outputs", "elements,bogus"], "unknown outputs ['bogus']"),
+    (["plan", "bell1", "--m", "30", "--phi", "pi3"], "cannot parse phase 'pi3'"),
+], ids=["window", "steps", "outputs", "phase"])
+def test_scan_and_phase_checks_exit_2_with_their_message(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err.strip() == f"error: {message}"
+
+
+def test_every_preset_is_listed_and_builds(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")   # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as exc:   # help still prints and exits 0
+        main(["scan", "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    code, _, err = run_cli(["scan", "--field", "nonsense", "--gt-max", "1"], capsys)
+    assert code == 2
+    for name in [*cli.PRESETS, "even-coherent[:alpha]"]:
+        assert name in help_text and name in err, name
+    for name in cli.PRESETS:
+        fld, _ = build_field(name, 48)
+        assert fld.amplitudes.size == 48, name
+
+
+def test_bell1_m40_preset_is_the_planned_field_and_reaches_its_target(capsys):
+    fld, tgt = build_field("bell1-m40", 48)
+    plan = cli.bell1_plan(40, 0.0, dim=48)
+    assert np.array_equal(fld.amplitudes, plan.field.amplitudes)
+    assert np.array_equal(tgt.vector, target("bell1", phi=0.0).vector)
+    code, out, _ = run_cli(["scan", "--field", "bell1-m40", "--dim", "48",
+                            "--gt-min", str(plan.gt1 - 0.05), "--gt-max", str(plan.gt1 + 0.05),
+                            "--steps", "201", "--outputs", "fidelity"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert max(r["fidelity"] for r in rows) >= 1.0 - 1e-3

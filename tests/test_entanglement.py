@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tcqubits import (XStateElements, analytic_elements, assemble_density, bell1_plan,
-                      bell1_vector, bell2_vector, coherent_state, concurrence,
-                      concurrence_wootters, concurrence_x_state, fidelity, is_x_type,
-                      number_state, singlet_vector, superpose, target)
+                      coherent_state, concurrence, concurrence_wootters, concurrence_x_state,
+                      fidelity, is_x_type, number_state, singlet_vector, superpose, target)
 
 RNG = np.random.default_rng(55)
 
@@ -146,7 +145,7 @@ def test_fidelity_gg_vs_bell1():
 
 def test_fidelity_pure_target_reduction():
     # against a pure target the Uhlmann form collapses to <psi|rho|psi>
-    for vec in (bell1_vector(0.7), bell2_vector(), singlet_vector()):
+    for vec in (target("bell1", phi=0.7).vector, target("bell2").vector, singlet_vector()):
         rho = random_density()
         direct = float((vec.conj() @ rho @ vec).real)
         assert fidelity(rho, np.outer(vec, vec.conj())) == pytest.approx(direct, abs=1e-10)

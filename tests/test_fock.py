@@ -152,3 +152,8 @@ def test_field_json_encoding():
     assert data["amplitudes"][2] == [0.0, 1.0 / math.sqrt(5.0)]
     assert data["amplitudes"][5] == [-2.0 / math.sqrt(5.0), 0.0]
     assert all(type(x) is float for pair in data["amplitudes"] for x in pair)
+
+
+def test_odd_projection_of_the_vacuum_leaves_nothing():
+    with pytest.raises(ValueError, match="no amplitude left after odd-parity projection"):
+        coherent_state(0, 8, parity="odd")

@@ -8,8 +8,8 @@ import pytest
 from tcqubits import (JointState, abc, analytic_elements, apply_propagator, assemble_density,
                       bell1_negative_branch_roots, bell1_plan, bell1_purity_factor, bell1_time,
                       bell2_plan, concurrence, evolve_oracle, fidelity, first_concurrence_peak,
-                      partial_trace, singlet_vector, superpose, target, verify_plan,
-                      werner_forward_elements, werner_solve)
+                      number_state, partial_trace, singlet_vector, superpose, target,
+                      verify_plan, werner_forward_elements, werner_solve)
 from tcqubits.cli import SCAN_CHUNK
 from tcqubits.protocols import (NEGATIVE_BRANCH_REFERENCE_SEEDS, WERNER_MAX_LATTICE,
                                 WERNER_PERIOD, _concurrence_at, _refine_peak, golden_section_max,
@@ -279,6 +279,11 @@ def test_first_concurrence_peak_keeps_the_acceptance_peaks(m, gt_ref, peak_ref):
     assert abs(peak - peak_ref) <= 1e-15
 
 
+def test_first_concurrence_peak_is_none_when_no_peak_reaches_the_threshold():
+    # the vacuum never leaves |gg, 0>, so its concurrence stays 0
+    assert first_concurrence_peak(number_state(0, 8), 5.0, 0.5) is None
+
+
 def test_verify_bell1():
     report = verify_plan(bell1_plan(30, math.pi))
     assert report.passed
@@ -378,6 +383,19 @@ def test_negative_branch_low_m_is_infeasible():
 def test_negative_branch_never_feasible_at_integer_m():
     # (2m-1)(2m+3) = (2m+1)^2 - 4 lies strictly between two squares for m >= 1
     assert not any(r.feasible for r in bell1_negative_branch_roots(range(200)))
+
+
+def test_negative_branch_curve_has_a_pole_at_minus_one_half():
+    with pytest.raises(ZeroDivisionError, match="pole at m = -1/2"):
+        negative_branch_curve(-0.5)
+
+
+def test_negative_branch_reason_is_derived_from_the_point():
+    (root,) = bell1_negative_branch_roots([0.5])
+    assert root.reason == "m = 0.500000 is not an integer >= 1 (the m-1 block is unphysical)"
+    (four,) = bell1_negative_branch_roots([4])
+    assert four.reason == ("|c_m|^2 = 40.493056 outside [0, 1]; (2m-1)(2m+3) = 77 is not a "
+                           "perfect square, so A(m-1) = A(m+1) = -1 cannot hold at one gt")
 
 
 # --- second-class Bell plan -------------------------------------------------

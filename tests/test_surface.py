@@ -14,17 +14,18 @@ MODULES = ("fock", "propagator", "reduced", "entanglement", "oracle", "protocols
 DELETED_NAMES = ("propagator_matrix", "excitation_operator", "NegativeBranchSearch",
                  "density_from_json", "DEFAULT_TOLERANCES", "_parser", "ScanSpec",
                  "BLOCK_ENTRIES", "eof", "werner_eta_from_k", "neighbor_product_zero",
-                 "bell1_conditions_residual")
+                 "bell1_conditions_residual", "bell1_vector", "bell2_vector", "_classify_root")
 DELETED_MEMBERS = (("FieldState", "from_json"), ("FieldState", "norm"),
                    ("PathComparison", "to_json"), ("FieldState", "has_headroom"))
 #: dataclass fields removed because no caller read them, or because their value is
 #: constant or derivable and the plan JSON writes it instead (unique_m, degenerate, period),
-#: or because it is a theorem (NegativeBranchRoot.feasible is always False)
+#: or because it is a theorem (NegativeBranchRoot.feasible is always False), or because it is
+#: derived from the other fields (NegativeBranchRoot.reason, a property of (c_m_sq, m))
 DELETED_FIELDS = (("Bell2Plan", "predicted_w"), ("PathComparison", "density_argmax"),
                   ("PathComparison", "gt"), ("Bell2Plan", "unique_m"),
                   ("WernerPlan", "degenerate"), ("WernerPlan", "period"),
                   ("TargetState", "kind"), ("TargetState", "parameter"),
-                  ("NegativeBranchRoot", "feasible"))
+                  ("NegativeBranchRoot", "feasible"), ("NegativeBranchRoot", "reason"))
 
 
 def test_every_exported_name_resolves_once():
