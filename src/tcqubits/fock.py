@@ -53,6 +53,18 @@ class FieldState:
         return {"dim": self.dim, "amplitudes": _json_complex(self.amplitudes)}
 
 
+def _amplitude_stack(fields) -> np.ndarray:
+    """(F, dim) amplitudes of a sequence of F >= 1 fields on one dim; one FieldState is F = 1."""
+    if isinstance(fields, FieldState):
+        return fields.amplitudes[None]
+    stack = tuple(fields)
+    if not stack:
+        raise ValueError("a stack needs at least one field")
+    if len({f.dim for f in stack}) > 1:
+        raise ValueError("the fields of a stack must share one dim")
+    return np.array([f.amplitudes for f in stack])
+
+
 def number_state(n: int, dim: int) -> FieldState:
     """Field state |n> in a dim-dimensional truncation."""
     if dim < 1:

@@ -21,7 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import FieldState
-from .propagator import EE, EG, GE, GG, QUBIT_EXC, JointState, apply_propagator, evolve_with
+from .propagator import (EE, EG, GE, GG, QUBIT_EXC, JointState, _slot_manifolds, apply_propagator,
+                         evolve_with)
 from .reduced import analytic_elements, assemble_density, partial_trace
 
 
@@ -78,31 +79,38 @@ def _decomposition(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evolve_blocks(branches: np.ndarray, gts: np.ndarray) -> np.ndarray:
-    """exp(-i gt H) on raw (4, dim) branches at T times, manifold by manifold: (T, 4, dim).
+    """exp(-i gt H) on raw (F, 4, dim) branches at T times, manifold by manifold: (F, T, 4, dim).
 
-    Only the manifolds with a nonzero slot are multiplied, through their
-    blocks of the decomposition cached at dim; the rest stay zero.
+    Only the manifolds with a nonzero slot in some state are multiplied,
+    through their blocks of the decomposition cached at dim; the rest stay
+    zero. exp(-i gt lambda) is taken once per time and manifold, and each
+    block multiplies all F * T rows of its manifold in one product, which
+    gives every row the value a stack of one gives it.
     """
-    dim = branches.shape[1]
+    n_states, _, dim = branches.shape
     evals, evecs = _decomposition(dim)
-    amp = np.zeros((dim + 2, 4), dtype=complex)   # amp[N, k]: slot k of manifold N
-    for k, exc in enumerate(QUBIT_EXC):
-        amp[exc:exc + dim, k] = branches[k]
-    occupied = np.flatnonzero(amp.any(axis=1))
+    occupied = np.flatnonzero(np.bincount(_slot_manifolds(dim)[(branches != 0).any(axis=0)]))
+    level = occupied[:, None] - QUBIT_EXC   # (K, 4): photon number of each slot
+    block, slot = np.nonzero((level >= 0) & (level < dim))   # the slots that exist
+    level = level[block, slot]
     evals, evecs = evals[occupied], evecs[occupied]
+    amp = np.zeros((len(occupied), n_states, 4), dtype=complex)
+    amp[block, :, slot] = branches[:, slot, level].T
     # row-vector products per manifold: amp V = (V^T amp)^T, then (phase V^T amp) V^T
-    coeff = (amp[occupied, None, :] @ evecs)[:, 0]
-    phased = np.exp(-1j * gts[:, None, None] * evals) * coeff
-    out = np.zeros((len(gts), dim + 2, 4), dtype=complex)
-    out[:, occupied] = (phased[..., None, :] @ evecs.swapaxes(-1, -2))[..., 0, :]
-    return np.stack([out[:, exc:exc + dim, k] for k, exc in enumerate(QUBIT_EXC)], axis=1)
+    phase = np.exp(-1j * gts[:, None] * evals[:, None])   # (K, T, 4)
+    phased = phase[:, None] * (amp @ evecs)[:, :, None]    # (K, F, T, 4)
+    rows = phased.reshape(len(occupied), -1, 4) @ evecs.swapaxes(-1, -2)
+    out = np.zeros((n_states, len(gts), 4, dim), dtype=complex)
+    by_slot = rows[block, :, slot].reshape(len(block), n_states, len(gts))
+    out[:, :, slot, level] = by_slot.transpose(1, 2, 0)
+    return out
 
 
 def evolve_oracle(state: JointState, gt) -> JointState:
     """exp(-i gt H) applied through the cached per-manifold spectral decomposition.
 
-    gt is a scalar (one JointState) or a 1-D vector of T times (a
-    (T, 4, dim) stack), with the same checks as apply_propagator.
+    Takes a state or a (..., 4, dim) stack and a scalar gt or a 1-D vector
+    of T times, with the same shapes and checks as apply_propagator.
     """
     return evolve_with(_evolve_blocks, state, gt)
 
@@ -111,28 +119,34 @@ def evolve_oracle(state: JointState, gt) -> JointState:
 class PathComparison:
     """Worst deviations between the closed-form route and the brute-force route.
 
-    Floats for a scalar gt; length-T arrays, one entry per time, for a
-    vector of T times.
+    Floats for one field at a scalar gt; otherwise arrays with an axis of
+    F fields for a stack, then one of T times for a vector of times.
     """
 
     max_density_dev: float
     max_joint_dev: float
 
 
-def compare_paths(field: FieldState, gt) -> PathComparison:
+def compare_paths(fields, gt) -> PathComparison:
     """Evolve |gg> (x) field both ways and report the worst disagreement.
 
-    gt is a scalar or a 1-D vector of T times; both routes evaluate the
-    times as one vector, and a scalar is a batch of one.
+    fields is one FieldState or a sequence of F fields on one dim, which
+    every route takes as one stack; each field's deviations are bit for
+    bit those it has alone. gt is a scalar or a 1-D vector of T times;
+    both routes evaluate the times as one vector, and a scalar is a batch
+    of one.
     """
+    if not isinstance(fields, FieldState):
+        fields = tuple(fields)
     times = np.atleast_1d(np.asarray(gt, dtype=float))
-    joint0 = JointState.from_field(field, "gg")
+    joint0 = JointState.from_field(fields, "gg")
     evolved = apply_propagator(joint0, times)
     brute = evolve_oracle(joint0, times)
 
     joint_dev = np.max(np.abs(evolved.branches - brute.branches), axis=(-2, -1))
-    rho_analytic = assemble_density(analytic_elements(field, times))
+    rho_analytic = assemble_density(analytic_elements(fields, times))
     density_dev = np.max(np.abs(rho_analytic - partial_trace(brute)), axis=(-2, -1))
     if np.ndim(gt) == 0:
-        return PathComparison(float(density_dev[0]), float(joint_dev[0]))
-    return PathComparison(density_dev, joint_dev)
+        density_dev, joint_dev = density_dev[..., 0], joint_dev[..., 0]
+    return PathComparison(*(dev.item() if dev.ndim == 0 else dev
+                            for dev in (density_dev, joint_dev)))

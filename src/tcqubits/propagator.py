@@ -27,17 +27,20 @@ H conserves N, so the truncation to n <= dim - 1 is exact for amplitude on
 manifolds N <= dim - 1: ee's top two levels and eg's and ge's top one
 empty, gg never cut. ensure_headroom is the package's one check of it.
 For the same reason _apply_raw works on the level prefix 0..Nmax, Nmax
-the highest manifold with an exactly nonzero entry, and pads zeros back:
-every slot of a manifold <= Nmax lies inside the prefix.
+the highest manifold with an exactly nonzero entry in any state of the
+stack it evolves, and pads zeros back: every slot of a manifold <= Nmax
+lies inside the prefix. Every step is elementwise, so each state of a
+stack evolves bit for bit as it does alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .fock import FieldState
+from .fock import FieldState, _amplitude_stack
 
 BASIS = ("ee", "eg", "ge", "gg")
 EE, EG, GE, GG = 0, 1, 2, 3
@@ -60,17 +63,20 @@ class HeadroomError(ValueError):
 class JointState:
     """Qubit-pair x field state: branches[k] is the field vector for BASIS[k].
 
-    branches may also be a (T, 4, dim) stack of T states, one per time of
-    a batched evolution; every row must be normalized.
+    branches may also be a (..., 4, dim) stack of states, e.g. (T, 4, dim)
+    for one state at T times or (F, T, 4, dim) for F states at T times;
+    every row must be normalized.
     """
 
     branches: np.ndarray
 
     def __post_init__(self):
         br = np.asarray(self.branches, dtype=complex)
-        if br.ndim not in (2, 3) or br.shape[-2] != 4 or br.shape[-1] < 1:
-            raise ValueError("branches must have shape (4, dim) or (T, 4, dim)")
-        norm = np.linalg.norm(br, axis=(-2, -1))
+        if br.ndim < 2 or br.shape[-2] != 4 or br.shape[-1] < 1:
+            raise ValueError("branches must have shape (..., 4, dim)")
+        # one row of re, im per state: a sum of squares with no temporary the size of br
+        flat = np.ascontiguousarray(br).reshape(br.shape[:-2] + (4 * br.shape[-1],)).view(float)
+        norm = np.sqrt(np.einsum("...i,...i->...", flat, flat))
         if not (abs(norm - 1.0) <= JOINT_NORM_TOL).all():
             raise ValueError(
                 f"joint state not normalized: |norm - 1| = {np.max(abs(norm - 1.0)):.3e}")
@@ -82,18 +88,18 @@ class JointState:
         return self.branches.shape[-1]
 
     @classmethod
-    def from_field(cls, field: FieldState, qubits: str = "gg") -> "JointState":
-        """Product state |qubits> (x) |field>."""
+    def from_field(cls, fields, qubits: str = "gg") -> "JointState":
+        """Product state |qubits> (x) |field>, or an (F, 4, dim) stack for F fields on one dim."""
         if qubits not in BASIS:
             raise ValueError(f"qubit label must be one of {BASIS}")
-        br = np.zeros((4, field.dim), dtype=complex)
-        br[BASIS.index(qubits)] = field.amplitudes
-        return cls(br)
+        amps = _amplitude_stack(fields)
+        br = np.zeros((len(amps), 4, amps.shape[1]), dtype=complex)
+        br[:, BASIS.index(qubits)] = amps
+        return cls(br[0] if isinstance(fields, FieldState) else br)
 
     def excitation_number(self):
         """Expectation of photon number plus number of excited qubits (one per row of a stack)."""
-        exc = np.array(QUBIT_EXC)[:, None] + np.arange(self.dim)
-        total = np.sum(exc * np.abs(self.branches) ** 2, axis=(-2, -1))
+        total = np.sum(_slot_manifolds(self.dim) * np.abs(self.branches) ** 2, axis=(-2, -1))
         return float(total) if total.ndim == 0 else total
 
 
@@ -122,34 +128,47 @@ def abc(n, gt):
 
 
 def ensure_headroom(branches: np.ndarray) -> None:
-    """Raise HeadroomError unless (4, dim) branches keep to manifolds N <= dim - 1.
+    """Raise HeadroomError unless every state of (..., 4, dim) branches keeps to N <= dim - 1.
 
-    Amplitude up to HEADROOM_TOL is tolerated on the cut manifolds.
+    Amplitude up to HEADROOM_TOL is tolerated on the cut manifolds; the
+    message reports the largest over the stack.
     """
-    edge = branches[:, -2:]
-    top = np.abs(edge[_BEYOND_CUT[:, -edge.shape[1]:]]).max()   # dim 1 has only level dim - 1
+    edge = branches[..., -2:]
+    cut = _BEYOND_CUT[:, -edge.shape[-1]:]   # dim 1 has only level dim - 1
+    top = np.abs(edge[..., cut]).max(initial=0.0)
     if top > HEADROOM_TOL:
         raise HeadroomError(
             f"amplitude {top:.3e} on excitation manifolds above dim - 1 = "
-            f"{branches.shape[1] - 1} exceeds {HEADROOM_TOL:.1e}; "
+            f"{branches.shape[-1] - 1} exceeds {HEADROOM_TOL:.1e}; "
             "the evolution would leak out of the truncation")
 
 
 def _h_action(branches: np.ndarray) -> np.ndarray:
-    """H (g = 1) on raw (4, dim) branches: each qubit links (e, n), (g, n + 1) by sqrt(n + 1).
+    """H (g = 1) on raw (4, ..., dim) branches, labels first: each qubit links (e, n), (g, n + 1).
 
-    H conserves N, so on a state that passes ensure_headroom (N <= dim - 1)
-    no power of H reaches past level dim - 1 and the truncation is exact.
+    The link weighs sqrt(n + 1). H conserves N, so on a state that passes
+    ensure_headroom (N <= dim - 1) no power of H reaches past level dim - 1
+    and the truncation is exact.
     """
     ee, eg, ge, gg = branches
-    s = np.sqrt(np.arange(1.0, branches.shape[1]))   # sqrt(n + 1) at n = 0..dim-2
+    s = np.sqrt(np.arange(1.0, branches.shape[-1]))   # sqrt(n + 1) at n = 0..dim-2
+    one_excited = eg + ge
     out = np.zeros_like(branches)
-    out[EE, :-1] = s * (eg[1:] + ge[1:])
-    out[EG, 1:] = s * ee[:-1]
-    out[EG, :-1] += s * gg[1:]
+    np.multiply(s, one_excited[..., 1:], out=out[EE, ..., :-1])
+    np.multiply(s, ee[..., :-1], out=out[EG, ..., 1:])
+    out[EG, ..., :-1] += s * gg[..., 1:]
     out[GE] = out[EG]
-    out[GG, 1:] = s * (eg[:-1] + ge[:-1])
+    np.multiply(s, one_excited[..., :-1], out=out[GG, ..., 1:])
     return out
+
+
+# only the last dim's table stays cached, shared read-only by both kernels
+@lru_cache(maxsize=1)
+def _slot_manifolds(dim: int) -> np.ndarray:
+    """(4, dim) table of the manifold N = n + QUBIT_EXC[k] that slot (k, n) lies on."""
+    manifold = np.arange(dim) + np.array(QUBIT_EXC)[:, None]
+    manifold.flags.writeable = False
+    return manifold
 
 
 def _coefficients(manifolds: np.ndarray, gts: np.ndarray):
@@ -162,49 +181,54 @@ def _coefficients(manifolds: np.ndarray, gts: np.ndarray):
 
 
 def _apply_raw(branches: np.ndarray, gts: np.ndarray) -> np.ndarray:
-    """Evolution operator action on raw (4, dim) branches at T times: (T, 4, dim), no guards.
+    """Evolution operator action on raw (F, 4, dim) branches at T times: (F, T, 4, dim), no guards.
 
-    Evaluated on the level prefix 0..Nmax (module docstring); tolerated
-    amplitude on a cut manifold (Nmax > dim - 1) keeps all dim levels.
+    Evaluated on the level prefix 0..Nmax of the whole stack (module
+    docstring); tolerated amplitude on a cut manifold (Nmax > dim - 1)
+    keeps all dim levels.
     """
-    dim = branches.shape[1]
-    manifold = np.arange(dim) + np.array(QUBIT_EXC)[:, None]
-    size = min(int(manifold[branches != 0].max(initial=0)) + 1, dim)
-    prefix, manifold = branches[:, :size], manifold[:, :size]
-    h1 = _h_action(prefix)
+    dim = branches.shape[-1]
+    manifold = _slot_manifolds(dim)
+    size = min(int((manifold * (branches != 0)).max(initial=0)) + 1, dim)
+    prefix, manifold = branches[..., :size], manifold[:, :size]
+    h1 = _h_action(prefix.swapaxes(0, 1))   # (4, F, size)
     h2 = _h_action(h1)
     f1, f2 = _coefficients(np.arange(size + 2), gts)   # column N: manifold N
-    out = np.zeros((len(gts), 4, dim), dtype=complex)
-    out[..., :size] = prefix + f1[:, manifold] * h1 + f2[:, manifold] * h2
+    out = np.zeros((len(branches), len(gts), 4, dim), dtype=complex)
+    out[..., :size] = (prefix[:, None] + f1[:, manifold] * h1.swapaxes(0, 1)[:, None]
+                       + f2[:, manifold] * h2.swapaxes(0, 1)[:, None])
     return out
 
 
 def evolve_with(kernel, state: JointState, gt) -> JointState:
-    """Run kernel(branches, gts) -> (T, 4, dim) at a scalar gt or a 1-D vector of T times.
+    """Run kernel(branches, gts) -> (F, T, 4, dim) on a state or a stack, at a scalar gt or T times.
 
-    A scalar runs as a batch of one and gives one JointState; a vector
-    gives a (T, 4, dim) stack. NaN or inf anywhere in gt raises, headroom
-    is checked once on the input and the norm on every output row.
+    The (..., 4, dim) branches reach the kernel as an (F, 4, dim) stack,
+    one state a stack of one. A 1-D vector of T times maps each state to
+    T rows, (..., T, 4, dim); a scalar runs as a batch of one and keeps
+    the input's shape. NaN or inf anywhere in gt raises, headroom is
+    checked on every input state and the norm on every output row.
     """
     gts = np.asarray(gt, dtype=float)
     if gts.ndim > 1:
         raise ValueError("gt must be a scalar or a 1-D vector")
     if not np.isfinite(gts).all():
         raise ValueError("gt must be finite")
-    if state.branches.ndim != 2:
-        raise ValueError("evolution takes one joint state, not a stack")
-    ensure_headroom(state.branches)
-    out = kernel(state.branches, gts.reshape(-1))
-    return JointState(out[0] if gts.ndim == 0 else out)
+    br = state.branches
+    ensure_headroom(br)
+    out = kernel(br.reshape((-1,) + br.shape[-2:]), gts.reshape(-1))
+    out = out.reshape(br.shape[:-2] + out.shape[1:])
+    return JointState(out[..., 0, :, :] if gts.ndim == 0 else out)
 
 
 def apply_propagator(state: JointState, gt) -> JointState:
     """Evolve a joint state by the exact propagator at dimensionless time gt.
 
-    gt is a scalar (one JointState) or a 1-D vector of T times (a
-    (T, 4, dim) stack). Requires every amplitude on an excitation manifold
-    N <= dim - 1 (ensure_headroom), where the truncation is exact; norm is
-    then preserved to 1e-12.
+    state may be a (..., 4, dim) stack, each state evolved as it would be
+    alone. gt is a scalar (the input's shape) or a 1-D vector of T times
+    (a (..., T, 4, dim) stack). Requires every amplitude on an excitation
+    manifold N <= dim - 1 (ensure_headroom), where the truncation is
+    exact; norm is then preserved to 1e-12.
     """
     return evolve_with(_apply_raw, state, gt)
 

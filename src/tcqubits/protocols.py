@@ -346,10 +346,19 @@ class Bell2Plan:
 
 
 def bell2_plan(l: int, dim: int = 8) -> Bell2Plan:
-    """Plan the second-class Bell preparation at the l-th odd peak."""
+    """Plan the second-class Bell preparation at the l-th odd peak.
+
+    Raises unless l is odd and positive and gt2 = l pi / (2 sqrt 2) is a
+    finite float.
+    """
     if l <= 0 or l % 2 == 0:
         raise ValueError(f"l must be odd and positive, got {l}")
-    gt2 = l * math.pi / (2.0 * math.sqrt(2.0))
+    try:
+        gt2 = l * math.pi / (2.0 * math.sqrt(2.0))
+    except OverflowError:   # l itself is past the float range
+        gt2 = math.inf
+    if not math.isfinite(gt2):
+        raise ValueError("l is too large: gt2 = l*pi/(2*sqrt(2)) is not a finite float")
     predicted = XStateElements(v_plus=0.0, v_minus=0.0, w=0.5,
                                h_plus=0.0, h_minus=0.0, mu=0.0)
     return Bell2Plan(l=l, gt2=gt2, field=number_state(1, dim), predicted=predicted)
@@ -408,8 +417,9 @@ def werner_solve(target_vplus: float, target_w: float, gt_max: float = 2.2,
 
     With u = cos(sqrt(38) gt) and s = 90 w + 95 v_plus, the consistency
     residual w * v_plus_unit(gt) - v_plus * w_unit(gt) factors as
-    (u - 1) [90 w (u - 1) + 95 v_plus (1 + u)] / 361, so gt0 = arccos(u*) / sqrt(38)
-    with u* = (90 w - 95 v_plus) / s, and both target equations give
+    (u - 1) [90 w (u - 1) + 95 v_plus (1 + u)] / 361, so u* = 1 - 190 v_plus / s
+    and gt0 = arccos(u*) / sqrt(38) = 2 arcsin(sqrt(95 v_plus / s)) / sqrt(38),
+    the arcsine form exact where v_plus << s, and both target equations give
     |c10|^2 = s^2 / (9000 v_plus), feasible up to 1. gt0 <= period / 2 and
     period - gt0 are extended over the period lattice up to gt_max, at most
     WERNER_MAX_LATTICE points from gt0. The field sqrt(1 - x)|0> + sqrt(x)|10>
@@ -431,7 +441,7 @@ def werner_solve(target_vplus: float, target_w: float, gt_max: float = 2.2,
             raise ValueError(
                 "no solution in the feasible box (|c10|^2 in [0, 1], gt in one period)")
         x = min(x, 1.0)
-        gt0 = math.acos((90.0 * tw - 95.0 * tv) / s) / math.sqrt(38.0)
+        gt0 = 2.0 * math.asin(math.sqrt(95.0 * tv / s)) / math.sqrt(38.0)
         n = math.floor((gt_max - gt0) / WERNER_PERIOD) + 1
         if n > WERNER_MAX_LATTICE:
             raise ValueError(f"gt_max = {gt_max:g} needs {n:.6g} lattice points from gt0; "

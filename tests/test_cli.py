@@ -453,6 +453,14 @@ def test_plan_bell2_even_l_exits_2(capsys):
     assert "odd" in err
 
 
+@pytest.mark.parametrize("l", [10**308 + 1, 10**400 + 1], ids=["gt2-overflows", "l-overflows"])
+def test_plan_bell2_huge_odd_l_exits_2_with_one_line(l, capsys):
+    # the first made gt2 = inf for verification, the second overflowed int -> float
+    code, out, err = run_cli(["plan", "bell2", "--l", str(l)], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err.strip() == "error: l is too large: gt2 = l*pi/(2*sqrt(2)) is not a finite float"
+
+
 def test_plan_werner(capsys):
     code, out, _ = run_cli(["plan", "werner"], capsys)
     assert code == 0
@@ -633,6 +641,39 @@ def test_validate_dim_2048_in_process(capsys):
     code, out, _ = run_cli(["validate", "--dim", "2048", "--trials", "1"], capsys)
     assert code == 0
     assert "PASS" in out
+
+
+def recorded_stacks(monkeypatch):
+    """Monkeypatch cli.compare_paths to record how many fields each call stacks."""
+    sizes = []
+    compare = cli.compare_paths
+
+    def recording(fields, gt):
+        fields = list(fields)
+        sizes.append(len(fields))
+        return compare(fields, gt)
+
+    monkeypatch.setattr(cli, "compare_paths", recording)
+    return sizes
+
+
+def test_validate_keeps_every_stack_under_the_entry_cap(monkeypatch, capsys):
+    sizes = recorded_stacks(monkeypatch)
+    code, out, _ = run_cli(["validate", "--dim", "2048", "--trials", "50"], capsys)
+    assert code == 0 and "PASS" in out
+    entries = len(cli.VALIDATE_GT_GRID) * 4 * 2048   # of one field's (T, 4, dim) rows
+    assert sum(sizes) == 50 + 3
+    assert all(n * entries <= cli.VALIDATE_STACK_ENTRIES for n in sizes)
+    assert sizes == [4] * 13 + [1]
+
+
+@pytest.mark.parametrize("dim, trials", [(64, 100), (33, 1), (128, 1), (1200, 2)])
+def test_validate_compares_trials_and_presets_in_one_call(dim, trials, monkeypatch, capsys):
+    # the README and CI commands and the benchmark's: one stack each
+    sizes = recorded_stacks(monkeypatch)
+    code, out, _ = run_cli(["validate", "--dim", str(dim), "--trials", str(trials)], capsys)
+    assert code == 0 and "PASS" in out
+    assert sizes == [trials + 3]
 
 
 def test_repeated_calls_print_what_a_fresh_process_prints(capsys):

@@ -9,6 +9,7 @@ from tcqubits import (BASIS, FieldState, HeadroomError, JointState, analytic_ele
                       compare_paths, concurrence, concurrence_wootters, evolve_oracle,
                       number_state, superpose)
 from tcqubits import oracle, propagator
+from tcqubits.cli import PRESETS, VALIDATE_GT_GRID
 from tcqubits.oracle import _decomposition, _manifold_blocks
 from tcqubits.propagator import EE, EG, GE, GG, QUBIT_EXC
 
@@ -235,14 +236,18 @@ def test_nan_gt_anywhere_is_rejected(gts, data):
             evolve(state, np.array(gts))
 
 
-def test_evolution_takes_an_empty_vector_and_rejects_a_matrix_of_times_or_a_stack():
+def test_evolution_takes_an_empty_vector_and_rejects_a_matrix_of_times():
     state = JointState.from_field(number_state(1, 8), "gg")
     for evolve in (apply_propagator, evolve_oracle):
         assert evolve(state, np.array([])).branches.shape == (0, 4, 8)
         with pytest.raises(ValueError, match="1-D"):
             evolve(state, np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="stack"):
-            evolve(evolve(state, np.array([0.1, 0.2])), 0.3)
+        # a stack evolves row by row, each row as it evolves alone
+        stack = evolve(state, np.array([0.1, 0.2])).branches
+        again = evolve(JointState(stack), 0.3).branches
+        assert again.shape == (2, 4, 8)
+        for row, alone in zip(again, stack):
+            assert row.tobytes() == evolve(JointState(alone), 0.3).branches.tobytes()
     rho = assemble_density(analytic_elements(number_state(1, 8), []))
     assert rho.shape == (0, 4, 4)
     assert concurrence(rho).shape == concurrence_wootters(rho).shape == (0,)
@@ -342,3 +347,97 @@ def test_tolerated_amplitude_past_the_cut_keeps_the_full_size(monkeypatch):
             assert np.max(np.abs(batch[i].reshape(-1) - dense)) <= 1e-12, (evolve.__name__, gt)
         assert np.max(np.abs(np.linalg.norm(batch, axis=(-2, -1)) - 1.0)) <= 1e-12
     assert seen == [(dim + 2,)]
+
+
+# --- a stack of fields runs every route as one call, each row as it runs alone -----
+
+def validate_mix(dim, seed):
+    """The fields of one `validate` call at dim: its random trial, then its three presets."""
+    presets = [PRESETS[name](dim)[0] for name in ("bell1-m30", "single-photon", "werner")]
+    return [validate_field(dim, min(40, dim - 8), seed)] + presets
+
+
+def seeded_stack(dim, seed):
+    """validate's mix plus fields on scattered supports, one reaching the top level dim - 1."""
+    rng = np.random.default_rng(seed)
+    fields = validate_mix(dim, seed)
+    for size in (3, 9, 17):
+        levels = rng.choice(dim, size=size, replace=False)
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        fields.append(superpose(list(zip(levels.tolist(), amps)), dim))
+    fields.append(superpose([(0, 1.0), (dim - 2, 0.5j), (dim - 1, -0.25)], dim))
+    return fields
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+STACK_GTS = np.array(VALIDATE_GT_GRID)
+
+
+@pytest.mark.parametrize("dim", [33, 64, 128])
+def test_stacked_evolution_rows_equal_one_state_calls_bit_for_bit(dim):
+    fields = seeded_stack(dim, seed=dim)
+    joint = JointState.from_field(fields, "gg")
+    assert joint.branches.shape == (len(fields), 4, dim)
+    for evolve in (apply_propagator, evolve_oracle):
+        for gt in (STACK_GTS, 0.7):
+            stacked = evolve(joint, gt).branches
+            assert stacked.shape == (len(fields),) + np.shape(gt) + (4, dim)
+            for field, row in zip(fields, stacked):
+                alone = evolve(JointState.from_field(field, "gg"), gt).branches
+                assert same_bits(row, alone), (evolve.__name__, dim, gt)
+
+
+@pytest.mark.parametrize("dim", [33, 64, 128])
+def test_stacked_elements_and_deviations_equal_one_field_calls_bit_for_bit(dim):
+    fields = seeded_stack(dim, seed=dim + 1)
+    for gt in (STACK_GTS, 0.7):
+        elems = analytic_elements(fields, gt)
+        rep = compare_paths(fields, gt)
+        assert rep.max_density_dev.shape == (len(fields),) + np.shape(gt)
+        for k, field in enumerate(fields):
+            alone = analytic_elements(field, gt)
+            for name in ("v_plus", "v_minus", "w", "h_plus", "h_minus", "mu"):
+                assert same_bits(getattr(elems, name)[k], getattr(alone, name)), (name, dim, k)
+            one = compare_paths(field, gt)
+            assert same_bits(rep.max_density_dev[k], one.max_density_dev)
+            assert same_bits(rep.max_joint_dev[k], one.max_joint_dev)
+            assert max(np.max(one.max_density_dev), np.max(one.max_joint_dev)) <= 1e-9
+
+
+def test_a_stack_takes_any_sequence_of_fields_on_one_dim():
+    fields = [number_state(1, 12), coherent_state(0.8, 12)]
+    batch = compare_paths(iter(fields), 0.4)   # a one-pass iterator is read once
+    assert batch.max_density_dev.shape == batch.max_joint_dev.shape == (2,)
+    assert analytic_elements(tuple(fields), [0.4, 0.5]).v_plus.shape == (2, 2)
+    mixed = [number_state(1, 8), number_state(1, 9)]
+    for bad, message in (([], "at least one"), (mixed, "one dim")):
+        for route in (compare_paths, analytic_elements):
+            with pytest.raises(ValueError, match=message):
+                route(bad, 0.4)
+        with pytest.raises(ValueError, match=message):
+            JointState.from_field(bad)
+
+
+def test_headroom_rejects_a_stack_when_any_one_state_leaks_past_the_cut():
+    dim = 12
+    inside = JointState.from_field(number_state(dim - 1, dim), "gg").branches
+    leaking = np.zeros((4, dim), dtype=complex)
+    leaking[EG, dim - 1] = 1.0   # manifold dim, one past the cut
+    for k in range(3):
+        stack = np.stack([inside] * 3)
+        stack[k] = leaking
+        with pytest.raises(HeadroomError, match="exceeds"):
+            propagator.ensure_headroom(stack)
+        for evolve in (apply_propagator, evolve_oracle):
+            with pytest.raises(HeadroomError):
+                evolve(JointState(stack), np.array([0.5, 1.0]))
+    # every state inside the cut, or past it within HEADROOM_TOL, evolves
+    tolerated = inside.copy()
+    tolerated[EE, dim - 2] = 1e-13
+    stack = np.stack([inside, tolerated / np.linalg.norm(tolerated)])
+    propagator.ensure_headroom(stack)
+    assert apply_propagator(JointState(stack), 0.5).branches.shape == (2, 4, dim)

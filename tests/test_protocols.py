@@ -412,6 +412,12 @@ def test_bell2_rejects_non_odd(bad_l):
         bell2_plan(bad_l)
 
 
+@pytest.mark.parametrize("l", [10**308 + 1, 10**400 + 1], ids=["gt2-overflows", "l-overflows"])
+def test_bell2_rejects_an_l_whose_time_is_not_a_finite_float(l):
+    with pytest.raises(ValueError, match="not a finite float"):
+        bell2_plan(l)
+
+
 def test_bell2_records_uniqueness():
     plan = bell2_plan(1)
     assert plan.to_json()["params"]["unique_m"] == 1
@@ -517,7 +523,31 @@ def test_werner_weight_is_the_exact_closed_form():
 
 
 def werner_base_time(v_plus, w):
-    return math.acos((90.0 * w - 95.0 * v_plus) / (90.0 * w + 95.0 * v_plus)) / math.sqrt(38.0)
+    """arccos(1 - 190 v_plus / s) / sqrt(38) in its arcsine form, exact where v_plus << s."""
+    return 2.0 * math.asin(math.sqrt(95.0 * v_plus / (90.0 * w + 95.0 * v_plus))) / math.sqrt(38.0)
+
+
+def test_werner_base_time_keeps_a_tiny_v_plus():
+    # 1 - 190 v_plus / s rounds to 1 here, so arccos gave gt0 = 0; the arcsine form does not
+    v_plus, w = 4.78e-145, 3.44e-121
+    gt0 = 2.0 * math.sqrt(95.0 * v_plus / (90.0 * w + 95.0 * v_plus)) / math.sqrt(38.0)
+    plan = werner_solve(v_plus, w)
+    assert gt0 == werner_base_time(v_plus, w)   # arcsin(y) = y to 1e-24 relative here
+    assert gt0 == pytest.approx(3.9292844750397e-13, rel=1e-12)
+    assert plan.times[:2] == (round(gt0, 15), round(WERNER_PERIOD - gt0, 15))
+    assert plan.times[0] > 0.0
+
+
+def test_werner_base_time_agrees_with_the_arccos_form():
+    # away from v_plus << s the two forms of gt0 differ by round-off alone
+    rng = np.random.default_rng(20)
+    v_plus, w = rng.uniform(0.0, 0.6, 4000), rng.uniform(0.0, 0.3, 4000)
+    s = 90.0 * w + 95.0 * v_plus
+    feasible = (s * s / (9000.0 * v_plus) <= 1.0) & (v_plus + 2.0 * w <= 1.0)
+    assert feasible.sum() >= 300
+    for vp, ww in zip(v_plus[feasible], w[feasible]):
+        arccos_form = math.acos((90.0 * ww - 95.0 * vp) / (90.0 * ww + 95.0 * vp)) / math.sqrt(38.0)
+        assert werner_solve(vp, ww).times[0] == pytest.approx(arccos_form, rel=1e-13, abs=2e-15)
 
 
 def enumerated_lattice(gt0, gt_max):
