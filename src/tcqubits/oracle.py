@@ -7,8 +7,8 @@ excitation number N = photons + excited qubits (Tavis & Cummings, Phys.
 Rev. 170, 379 (1968)). It is therefore block-diagonal: manifold N spans
 {ee,N-2; eg,N-1; ge,N-1; gg,N}, one real symmetric 4x4 block per N.
 Evolution is the exact spectral exponential exp(-i gt H) of each block,
-no series truncation, and only the blocks of manifolds that hold
-amplitude are multiplied. Agreement with the closed-form propagator on full
+no series truncation, on the occupied level prefix that evolve_with
+hands it. Agreement with the closed-form propagator on full
 joint states is the package's central correctness check. The dense
 `build_hamiltonian` is kept as the tests' arbiter of the blocks.
 """
@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import FieldState
-from .propagator import (EE, EG, GE, GG, QUBIT_EXC, JointState, _slot_manifolds, apply_propagator,
-                         evolve_with)
+from .propagator import (EE, EG, GE, GG, QUBIT_EXC, JointState, _occupied_prefix, _slot_manifolds,
+                         apply_propagator, evolve_with)
 from .reduced import analytic_elements, assemble_density, partial_trace
 
 
@@ -81,29 +81,21 @@ def _decomposition(dim: int) -> tuple[np.ndarray, np.ndarray]:
 def _evolve_blocks(branches: np.ndarray, gts: np.ndarray) -> np.ndarray:
     """exp(-i gt H) on raw (F, 4, dim) branches at T times, manifold by manifold: (F, T, 4, dim).
 
-    Only the manifolds with a nonzero slot in some state are multiplied,
-    through their blocks of the decomposition cached at dim; the rest stay
-    zero. exp(-i gt lambda) is taken once per time and manifold, and each
-    block multiplies all F * T rows of its manifold in one product, which
-    gives every row the value a stack of one gives it.
+    Every manifold 0..dim + 1 is multiplied through its block of the
+    decomposition cached at dim. exp(-i gt lambda) is taken once per time
+    and manifold, and each block multiplies all F * T rows of its manifold
+    in one product, which gives every row the value a stack of one gives it.
     """
     n_states, _, dim = branches.shape
     evals, evecs = _decomposition(dim)
-    occupied = np.flatnonzero(np.bincount(_slot_manifolds(dim)[(branches != 0).any(axis=0)]))
-    level = occupied[:, None] - QUBIT_EXC   # (K, 4): photon number of each slot
-    block, slot = np.nonzero((level >= 0) & (level < dim))   # the slots that exist
-    level = level[block, slot]
-    evals, evecs = evals[occupied], evecs[occupied]
-    amp = np.zeros((len(occupied), n_states, 4), dtype=complex)
-    amp[block, :, slot] = branches[:, slot, level].T
+    manifold, slot = _slot_manifolds(dim), np.arange(4)[:, None]
+    amp = np.zeros((dim + 2, n_states, 4), dtype=complex)
+    amp[manifold, :, slot] = branches.transpose(1, 2, 0)   # slot (k, n) onto its manifold
     # row-vector products per manifold: amp V = (V^T amp)^T, then (phase V^T amp) V^T
-    phase = np.exp(-1j * gts[:, None] * evals[:, None])   # (K, T, 4)
-    phased = phase[:, None] * (amp @ evecs)[:, :, None]    # (K, F, T, 4)
-    rows = phased.reshape(len(occupied), -1, 4) @ evecs.swapaxes(-1, -2)
-    out = np.zeros((n_states, len(gts), 4, dim), dtype=complex)
-    by_slot = rows[block, :, slot].reshape(len(block), n_states, len(gts))
-    out[:, :, slot, level] = by_slot.transpose(1, 2, 0)
-    return out
+    phase = np.exp(-1j * gts[:, None] * evals[:, None])   # (dim + 2, T, 4)
+    phased = phase[:, None] * (amp @ evecs)[:, :, None]    # (dim + 2, F, T, 4)
+    rows = (phased.reshape(dim + 2, -1, 4) @ evecs.swapaxes(-1, -2)).reshape(phased.shape)
+    return rows[manifold, ..., slot].transpose(2, 3, 0, 1)   # (4, dim, F, T) -> (F, T, 4, dim)
 
 
 def evolve_oracle(state: JointState, gt) -> JointState:
@@ -139,7 +131,8 @@ def compare_paths(fields, gt) -> PathComparison:
     if not isinstance(fields, FieldState):
         fields = tuple(fields)
     times = np.atleast_1d(np.asarray(gt, dtype=float))
-    joint0 = JointState.from_field(fields, "gg")
+    full = JointState.from_field(fields, "gg").branches
+    joint0 = JointState(full[..., :_occupied_prefix(full)])
     evolved = apply_propagator(joint0, times)
     brute = evolve_oracle(joint0, times)
 

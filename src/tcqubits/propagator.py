@@ -25,12 +25,10 @@ strength x time); negative gt runs the inverse.
 
 H conserves N, so the truncation to n <= dim - 1 is exact for amplitude on
 manifolds N <= dim - 1: ee's top two levels and eg's and ge's top one
-empty, gg never cut. ensure_headroom is the package's one check of it.
-For the same reason _apply_raw works on the level prefix 0..Nmax, Nmax
-the highest manifold with an exactly nonzero entry in any state of the
-stack it evolves, and pads zeros back: every slot of a manifold <= Nmax
-lies inside the prefix. Every step is elementwise, so each state of a
-stack evolves bit for bit as it does alone.
+empty, gg never cut. ensure_headroom is the package's one check of it,
+and evolve_with hands a kernel only the occupied level prefix. Every
+step is elementwise, so each state of a stack evolves bit for bit as it
+does alone.
 """
 
 from __future__ import annotations
@@ -50,9 +48,6 @@ QUBIT_EXC = (2, 1, 1, 0)
 JOINT_NORM_TOL = 1e-10
 #: Amplitude ceiling on manifolds N > dim - 1, which the truncation cuts.
 HEADROOM_TOL = 1e-12
-#: Over the last two Fock levels (dim - 2, dim - 1), True where
-#: n + QUBIT_EXC[k] > dim - 1: ee's two levels, eg's and ge's top one.
-_BEYOND_CUT = np.array([[True, True], [False, True], [False, True], [False, False]])
 
 
 class HeadroomError(ValueError):
@@ -133,9 +128,8 @@ def ensure_headroom(branches: np.ndarray) -> None:
     Amplitude up to HEADROOM_TOL is tolerated on the cut manifolds; the
     message reports the largest over the stack.
     """
-    edge = branches[..., -2:]
-    cut = _BEYOND_CUT[:, -edge.shape[-1]:]   # dim 1 has only level dim - 1
-    top = np.abs(edge[..., cut]).max(initial=0.0)
+    dim = branches.shape[-1]
+    top = np.abs(branches[..., _slot_manifolds(dim) > dim - 1]).max(initial=0.0)
     if top > HEADROOM_TOL:
         raise HeadroomError(
             f"amplitude {top:.3e} on excitation manifolds above dim - 1 = "
@@ -162,13 +156,20 @@ def _h_action(branches: np.ndarray) -> np.ndarray:
     return out
 
 
-# only the last dim's table stays cached, shared read-only by both kernels
-@lru_cache(maxsize=1)
+# the tables of a stack's dim and of its occupied prefix stay cached, shared read-only
+@lru_cache(maxsize=2)
 def _slot_manifolds(dim: int) -> np.ndarray:
     """(4, dim) table of the manifold N = n + QUBIT_EXC[k] that slot (k, n) lies on."""
     manifold = np.arange(dim) + np.array(QUBIT_EXC)[:, None]
     manifold.flags.writeable = False
     return manifold
+
+
+def _occupied_prefix(branches: np.ndarray) -> int:
+    """Size of the level prefix 0..Nmax of a (..., 4, dim) stack, at most dim (see evolve_with)."""
+    dim = branches.shape[-1]
+    occupied = (branches != 0).reshape(-1, 4, dim).any(axis=0)
+    return min(int(_slot_manifolds(dim)[occupied].max(initial=0)) + 1, dim)
 
 
 def _coefficients(manifolds: np.ndarray, gts: np.ndarray):
@@ -181,33 +182,30 @@ def _coefficients(manifolds: np.ndarray, gts: np.ndarray):
 
 
 def _apply_raw(branches: np.ndarray, gts: np.ndarray) -> np.ndarray:
-    """Evolution operator action on raw (F, 4, dim) branches at T times: (F, T, 4, dim), no guards.
-
-    Evaluated on the level prefix 0..Nmax of the whole stack (module
-    docstring); tolerated amplitude on a cut manifold (Nmax > dim - 1)
-    keeps all dim levels.
-    """
+    """Evolution operator action on raw (F, 4, dim) branches at T times: (F, T, 4, dim), no guards."""
     dim = branches.shape[-1]
     manifold = _slot_manifolds(dim)
-    size = min(int((manifold * (branches != 0)).max(initial=0)) + 1, dim)
-    prefix, manifold = branches[..., :size], manifold[:, :size]
-    h1 = _h_action(prefix.swapaxes(0, 1))   # (4, F, size)
+    h1 = _h_action(branches.swapaxes(0, 1))   # (4, F, dim)
     h2 = _h_action(h1)
-    f1, f2 = _coefficients(np.arange(size + 2), gts)   # column N: manifold N
-    out = np.zeros((len(branches), len(gts), 4, dim), dtype=complex)
-    out[..., :size] = (prefix[:, None] + f1[:, manifold] * h1.swapaxes(0, 1)[:, None]
-                       + f2[:, manifold] * h2.swapaxes(0, 1)[:, None])
-    return out
+    f1, f2 = _coefficients(np.arange(dim + 2), gts)   # column N: manifold N
+    return (branches[:, None] + f1[:, manifold] * h1.swapaxes(0, 1)[:, None]
+            + f2[:, manifold] * h2.swapaxes(0, 1)[:, None])
 
 
 def evolve_with(kernel, state: JointState, gt) -> JointState:
-    """Run kernel(branches, gts) -> (F, T, 4, dim) on a state or a stack, at a scalar gt or T times.
+    """Run kernel(branches, gts) -> (F, T, 4, size) on a state or a stack, at a scalar gt or T times.
 
-    The (..., 4, dim) branches reach the kernel as an (F, 4, dim) stack,
+    The (..., 4, dim) branches reach the kernel as an (F, 4, size) stack,
     one state a stack of one. A 1-D vector of T times maps each state to
     T rows, (..., T, 4, dim); a scalar runs as a batch of one and keeps
     the input's shape. NaN or inf anywhere in gt raises, headroom is
     checked on every input state and the norm on every output row.
+
+    size is the level prefix 0..Nmax, Nmax the highest manifold with an
+    exactly nonzero slot in the stack, and the output is zero-padded back
+    to dim: H conserves N, so every slot of a manifold <= Nmax lies in the
+    prefix and evolves there exactly as at dim. Tolerated amplitude past
+    the cut (Nmax > dim - 1) keeps all dim levels.
     """
     gts = np.asarray(gt, dtype=float)
     if gts.ndim > 1:
@@ -216,7 +214,10 @@ def evolve_with(kernel, state: JointState, gt) -> JointState:
         raise ValueError("gt must be finite")
     br = state.branches
     ensure_headroom(br)
-    out = kernel(br.reshape((-1,) + br.shape[-2:]), gts.reshape(-1))
+    stack = br.reshape((-1,) + br.shape[-2:])
+    size = _occupied_prefix(stack)
+    out = np.zeros((len(stack), gts.size) + br.shape[-2:], dtype=complex)
+    out[..., :size] = kernel(stack[..., :size], gts.reshape(-1))
     out = out.reshape(br.shape[:-2] + out.shape[1:])
     return JointState(out[..., 0, :, :] if gts.ndim == 0 else out)
 

@@ -85,10 +85,12 @@ def _refine_peak(f, lo: float, hi: float):
     r = max(8 |v3 - v5|, 1e-10), so the zoom tightens as the two fits
     agree. A zoomed round whose largest sits on an edge strictly inside
     the certified bracket proves nothing and is followed by a round on
-    the whole certified bracket. Returns the sampled largest and its
-    sampled value once the certified bracket is at most 1e-10 wide. Each
-    grid is np.linspace(lo, hi, 33), bit for bit (linspace_at), and the
-    fits run on Python floats.
+    the whole certified bracket, unless all its values lie within 16 ulps
+    of the largest: that grid is on the round-off plateau of the peak,
+    where the edge is as good as any point. Returns the sampled largest
+    and its sampled value once the certified bracket is at most 1e-10
+    wide. Each grid is np.linspace(lo, hi, 33), bit for bit (linspace_at),
+    and the fits run on Python floats.
     """
     lo, hi = float(lo), float(hi)
     c_lo, c_hi = lo, hi
@@ -102,7 +104,8 @@ def _refine_peak(f, lo: float, hi: float):
             # tie nearest the middle, where the fits placed the vertex
             top = np.flatnonzero(ys == ys[i])
             i = int(top[np.argmin(np.abs(top - 16))])
-            if (i == 0 and lo > c_lo) or (i == 32 and hi < c_hi):
+            on_plateau = ys[i] - ys.min() <= 16.0 * np.spacing(ys[i])
+            if not on_plateau and ((i == 0 and lo > c_lo) or (i == 32 and hi < c_hi)):
                 lo, hi = c_lo, c_hi
                 continue
         c_lo, c_hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, 32)])
@@ -179,7 +182,7 @@ def bell1_purity_factor(m: int) -> float:
 def bell1_plan(m: int, phi: float, dim: int | None = None) -> Bell1Plan:
     """Plan the first-class Bell preparation from base photon number m.
 
-    The field is (|m> + e^{-i(phi+pi)}|m+2>)/sqrt(2); at gt1 the predicted
+    The field is (|m> - e^{-i phi}|m+2>)/sqrt(2); at gt1 the predicted
     coherence mu has argument phi and magnitude sqrt(purity_factor)/2, so
     the preparation sharpens as m grows (large even m is the useful
     regime; odd m lands on the wrong sign branch and peaks elsewhere).
@@ -193,7 +196,7 @@ def bell1_plan(m: int, phi: float, dim: int | None = None) -> Bell1Plan:
     if not math.isfinite(phi):
         raise ValueError(f"phi = {phi} is not finite")
     c_m = 1.0 / math.sqrt(2.0)
-    c_m2 = np.exp(-1j * (phi + math.pi)) / math.sqrt(2.0)
+    c_m2 = -np.exp(-1j * phi) / math.sqrt(2.0)   # phi + pi would round to phi at |phi| > ~1e15
     fld = superpose([(m, c_m), (m + 2, c_m2)], dim)
     q = bell1_purity_factor(m)
     predicted = XStateElements(
@@ -404,10 +407,12 @@ class WernerPlan:
 
 def werner_forward_elements(c10_sq: float, gt: float):
     """(v_plus, v_minus, w) for the field sqrt(1-x)|0> + sqrt(x)|10>."""
-    u = math.cos(math.sqrt(38.0) * gt)
-    v_plus = (90.0 / 361.0) * c10_sq * (u - 1.0) ** 2
-    v_minus = (1.0 - c10_sq) + c10_sq * (1.0 + (10.0 / 19.0) * (u - 1.0)) ** 2
-    w = (5.0 / 19.0) * c10_sq * (1.0 - u * u)
+    # d = u - 1 at u = cos(sqrt(38) gt), and 1 - u^2 = -d (2 + d): both keep their digits
+    # where u itself rounds to 1
+    d = -2.0 * math.sin(math.sqrt(38.0) * gt / 2.0) ** 2
+    v_plus = (90.0 / 361.0) * c10_sq * d ** 2
+    v_minus = (1.0 - c10_sq) + c10_sq * (1.0 + (10.0 / 19.0) * d) ** 2
+    w = (5.0 / 19.0) * c10_sq * (-d * (2.0 + d))
     return v_plus, v_minus, w
 
 

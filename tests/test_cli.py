@@ -287,6 +287,11 @@ def test_plan_bell1(capsys):
     assert data["verification"]["fidelity"] >= 0.999
 
 
+def test_plan_bell1_at_a_huge_phase_passes(capsys):
+    code, out, _ = run_cli(["plan", "bell1", "--m", "30", "--phi", "1e16"], capsys)
+    assert code == 0
+    assert json.loads(out)["verification"]["fidelity"] >= 0.999
+
 @pytest.mark.parametrize("args, message", [
     (["--m", "0"], "m must be >= 1"),
     (["--m", "30", "--dim", "10"], "dim 10 too small"),

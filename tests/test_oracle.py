@@ -7,7 +7,7 @@ from hypothesis import assume, given, strategies as st
 from tcqubits import (BASIS, FieldState, HeadroomError, JointState, analytic_elements,
                       apply_propagator, assemble_density, build_hamiltonian, coherent_state,
                       compare_paths, concurrence, concurrence_wootters, evolve_oracle,
-                      number_state, superpose)
+                      number_state, partial_trace, superpose)
 from tcqubits import oracle, propagator
 from tcqubits.cli import PRESETS, VALIDATE_GT_GRID
 from tcqubits.oracle import _decomposition, _manifold_blocks
@@ -255,7 +255,7 @@ def test_evolution_takes_an_empty_vector_and_rejects_a_matrix_of_times():
     assert rep.max_density_dev.shape == rep.max_joint_dev.shape == (0,)
 
 
-# --- both kernels evolve only the manifolds that carry amplitude -------------
+# --- evolve_with hands both kernels the occupied level prefix only -----------
 
 def top_reaching(label, dim, rng=RNG):
     """Random amplitudes on one branch, up to its highest uncut level dim - 1 - exc."""
@@ -303,7 +303,8 @@ def recorded_abc(monkeypatch):
 
 
 def test_kernels_run_over_the_occupied_manifolds_only(monkeypatch):
-    # the field holds manifolds 0..39 of the 130 that dim 128 has (0..dim + 1)
+    # the field holds manifolds 0..39 of the 130 that dim 128 has (0..dim + 1); both
+    # kernels run on its 40-level prefix, whose manifolds are 0..41
     joint = JointState.from_field(validate_field(), "gg")
     gts = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 8.673, 12.0])
     seen = recorded_abc(monkeypatch)
@@ -327,7 +328,7 @@ def test_kernels_run_over_the_occupied_manifolds_only(monkeypatch):
 
     monkeypatch.setattr(oracle, "_decomposition", spied_decomposition)
     evolve_oracle(joint, gts)
-    assert shapes == [(40, 4, 4)] * 2
+    assert shapes == [(42, 4, 4)] * 2
 
 
 def test_tolerated_amplitude_past_the_cut_keeps_the_full_size(monkeypatch):
@@ -407,6 +408,36 @@ def test_stacked_elements_and_deviations_equal_one_field_calls_bit_for_bit(dim):
             assert same_bits(rep.max_joint_dev[k], one.max_joint_dev)
             assert max(np.max(one.max_density_dev), np.max(one.max_joint_dev)) <= 1e-9
 
+
+def full_dim_deviations(fields, gts):
+    """compare_paths' deviations with both kernels and partial_trace run on all dim levels."""
+    br = JointState.from_field(fields, "gg").branches
+    closed, brute = propagator._apply_raw(br, gts), oracle._evolve_blocks(br, gts)
+    rho = assemble_density(analytic_elements(fields, gts))
+    density = np.max(np.abs(rho - partial_trace(JointState(brute))), axis=(-2, -1))
+    return density, np.max(np.abs(closed - brute), axis=(-2, -1))
+
+
+@pytest.mark.parametrize("dim", [33, 64, 128, 2048])
+def test_deviations_on_the_occupied_prefix_equal_the_full_dim_ones_bit_for_bit(dim):
+    # validate's mix occupies levels 0..39, and at dim 33 its bell1-m30 preset reaches dim - 1
+    mix = validate_mix(dim, seed=dim)
+    top = superpose([(0, 1.0), (dim - 2, 0.5j), (dim - 1, -0.25)], dim)   # never trimmed
+    for fields, size in ((mix, min(40, dim)), ([top], dim)):
+        assert propagator._occupied_prefix(JointState.from_field(fields).branches) == size
+        rep = compare_paths(fields, STACK_GTS)
+        density, joint = full_dim_deviations(fields, STACK_GTS)
+        assert same_bits(rep.max_density_dev, density), (dim, size)
+        assert same_bits(rep.max_joint_dev, joint), (dim, size)
+
+
+@pytest.mark.parametrize("kernel", [propagator._apply_raw, oracle._evolve_blocks])
+def test_each_kernel_at_dim_2048_equals_its_prefix_evolution_zero_padded(kernel):
+    br = JointState.from_field(validate_mix(2048, seed=3), "gg").branches
+    size = 40   # Nmax = 39
+    full = kernel(br, STACK_GTS)
+    assert same_bits(full[..., :size], kernel(br[..., :size], STACK_GTS))
+    assert not full[..., size:].any()
 
 def test_a_stack_takes_any_sequence_of_fields_on_one_dim():
     fields = [number_state(1, 12), coherent_state(0.8, 12)]

@@ -71,6 +71,17 @@ def test_bell1_verification_zooms_onto_the_peak_in_a_few_calls(monkeypatch):
         assert set(sizes) == {33}
 
 
+def test_bell1_refinement_reads_a_round_off_plateau_as_converged(monkeypatch):
+    # a zoomed grid whose 33 values lie within a few ulps of the peak can hold its
+    # largest on an edge by round-off alone; read as an edge miss, it cost 5 rounds
+    # at 1 to 12 of these 100 phases per m
+    sizes = _counting_concurrence(monkeypatch)
+    for m in (4, 10, 40, 100):
+        for phi in np.random.default_rng(m).uniform(-math.pi, math.pi, 100):
+            sizes.clear()
+            bell1_plan(m, float(phi)).verify()
+            assert len(sizes) <= 4, (m, phi, sizes)
+
 def test_bell1_refinement_never_takes_more_calls_than_a_fixed_shrink(monkeypatch):
     sizes = _counting_concurrence(monkeypatch)
     for m in range(1, 61):
@@ -209,6 +220,16 @@ def test_bell1_plan_rejects_small_dim():
         bell1_plan(30, 0.0, dim=32)
     assert bell1_plan(30, 0.0, dim=33).field.dim == 33
 
+
+def test_bell1_plan_keeps_the_sign_of_its_pair_at_a_huge_phase():
+    # phi + pi rounds to phi at |phi| = 1e16: the pair lost its minus sign and
+    # verified at fidelity 0.8268
+    plan = bell1_plan(30, 1e16)
+    amps = plan.field.amplitudes
+    assert amps[32] / amps[30] == pytest.approx(-np.exp(-1e16j), abs=1e-15)
+    report = plan.verify()
+    assert report.passed
+    assert report.fidelity >= 0.999
 
 @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
 def test_bell1_plan_rejects_non_finite_phase(phi):
@@ -537,6 +558,14 @@ def test_werner_base_time_keeps_a_tiny_v_plus():
     assert plan.times[:2] == (round(gt0, 15), round(WERNER_PERIOD - gt0, 15))
     assert plan.times[0] > 0.0
 
+
+def test_werner_prediction_keeps_a_tiny_target():
+    # u = cos(sqrt(38) gt0) rounds to 1 at gt0 = 3.9e-13, so u - 1 and 1 - u^2
+    # predicted v_plus = w = 0.0; -2 sin^2(sqrt(38) gt0 / 2) keeps both to an ulp
+    v_plus, w = 4.78e-145, 3.44e-121
+    predicted = werner_solve(v_plus, w).predicted
+    assert abs(predicted.v_plus - v_plus) <= np.spacing(v_plus)
+    assert abs(predicted.w - w) <= np.spacing(w)
 
 def test_werner_base_time_agrees_with_the_arccos_form():
     # away from v_plus << s the two forms of gt0 differ by round-off alone
