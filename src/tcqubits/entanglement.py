@@ -51,10 +51,10 @@ def _dagger(mat: np.ndarray) -> np.ndarray:
 
 
 def _density_stack(rho, hermitian: bool = False) -> np.ndarray:
-    """rho as a finite complex 4x4 matrix or (T, 4, 4) stack; anything else raises."""
+    """rho as a finite complex 4x4 matrix or (..., 4, 4) stack; anything else raises."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
-        raise ValueError("density matrix must be 4x4 or a (T, 4, 4) stack")
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError("density matrix must be 4x4 or a (..., 4, 4) stack")
     if not np.isfinite(rho).all():
         raise ValueError(_NOT_FINITE)
     if hermitian and not (np.abs(rho - _dagger(rho)) <= HERMITICITY_TOL).all():
@@ -63,20 +63,21 @@ def _density_stack(rho, hermitian: bool = False) -> np.ndarray:
 
 
 def _per_matrix(values: np.ndarray, rho: np.ndarray):
-    """A float for a single 4x4 rho, the length-T array for a stack."""
-    return float(values[0]) if rho.ndim == 2 else values
+    """A float for a single 4x4 rho, an array of the stack's leading shape for a stack."""
+    return float(values[0]) if rho.ndim == 2 else values.reshape(rho.shape[:-2])
 
 
 def concurrence(rho):
     """Concurrence in [0, 1] of a two-qubit density matrix, or of XStateElements.
 
-    A (T, 4, 4) stack, or elements holding length-T arrays, gives a
-    length-T array; every matrix must pass the Hermiticity check. Exactly
-    X-type matrices take the Yu-Eberly closed form, all others the
-    Wootters eigen route. Elements are validated; where h_plus and
-    h_minus are exactly zero on every row, the Yu-Eberly form reads the
-    elements themselves, which equals the route of their assembled
-    matrix bit for bit, and any other elements are assembled first.
+    A (..., 4, 4) stack, or elements holding arrays, gives an array of the
+    stack's leading shape (the elements' shape); every matrix must pass
+    the Hermiticity check. Exactly X-type matrices take the Yu-Eberly
+    closed form, all others the Wootters eigen route. Elements are
+    validated; where h_plus and h_minus are exactly zero on every row, the
+    Yu-Eberly form reads the elements themselves, which equals the route
+    of their assembled matrix bit for bit, and any other elements are
+    assembled first.
     """
     if isinstance(rho, XStateElements):
         if np.count_nonzero(rho.h_plus) or np.count_nonzero(rho.h_minus):
@@ -201,8 +202,8 @@ def fidelity(rho: np.ndarray, sigma):
 
     sigma may be a density matrix or a TargetState. A pure target that
     carries its vector gives <psi|rho|psi>, to which the Uhlmann form
-    reduces; anything else takes the Uhlmann route. A (T, 4, 4) stack of
-    rho gives a length-T array.
+    reduces; anything else takes the Uhlmann route. A (..., 4, 4) stack of
+    rho gives an array of its leading shape.
     """
     rho = _density_stack(rho)
     psi = sigma.vector if isinstance(sigma, TargetState) else None

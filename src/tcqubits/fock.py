@@ -106,7 +106,8 @@ def coherent_state(alpha: complex, dim: int, parity: str = "any") -> FieldState:
 
     parity="even" zeroes odd-n amplitudes (the |alpha> + |-alpha> cat),
     parity="odd" zeroes even-n amplitudes; both renormalize afterwards.
-    Raises if the truncated tail mass at n >= dim exceeds 1e-10.
+    Raises if the share of the returned series' own norm that the
+    truncation leaves out (levels n >= dim) exceeds 1e-10.
     """
     if parity not in ("any", "even", "odd"):
         raise ValueError(f"parity must be 'any', 'even' or 'odd', got {parity!r}")
@@ -126,15 +127,18 @@ def coherent_state(alpha: complex, dim: int, parity: str = "any") -> FieldState:
         logw = -0.5 * a2 + 0.5 * (n * math.log(a2) - np.array([math.lgamma(k + 1) for k in range(dim)]))
         phase = np.exp(1j * n * np.angle(alpha))
         amp = np.exp(logw) * phase
-    tail = 1.0 - float(np.sum(np.abs(amp) ** 2))
-    if tail > 1e-10:
-        raise ValueError(f"truncation too small: tail mass {tail:.3e} exceeds 1e-10")
+    series = 1.0   # the squared norm of the untruncated (projected) series
     if parity == "even":
         amp[1::2] = 0.0
+        series = (1.0 + math.exp(-2.0 * a2)) / 2.0
     elif parity == "odd":
         amp[0::2] = 0.0
+        series = -math.expm1(-2.0 * a2) / 2.0
     norm = np.linalg.norm(amp)
     if norm == 0.0:
         raise ValueError(f"no amplitude left after {parity}-parity projection")
+    tail = 1.0 - float(np.sum(np.abs(amp) ** 2)) / series
+    if tail > 1e-10:
+        raise ValueError(f"truncation too small: tail mass {tail:.3e} exceeds 1e-10")
     return FieldState(amp / norm)
 

@@ -172,12 +172,12 @@ def _occupied_prefix(branches: np.ndarray) -> int:
     return min(int(_slot_manifolds(dim)[occupied].max(initial=0)) + 1, dim)
 
 
-def _coefficients(manifolds: np.ndarray, gts: np.ndarray):
-    """(f1, f2) = (-iB/sqrt(C), (A - 1)/C) at abc(N - 1, gt), (T, K) each for K manifolds N.
+def _coefficients(count: int, gts: np.ndarray):
+    """(f1, f2) = (-iB/sqrt(C), (A - 1)/C) at abc(N - 1, gt), (T, count) each; column N: manifold N.
 
     H vanishes on manifold 0, so its coefficients repeat manifold 1's.
     """
-    A, B, C = abc(np.maximum(manifolds - 1.0, 0.0), gts[:, None])
+    A, B, C = abc(np.maximum(np.arange(count) - 1.0, 0.0), gts[:, None])
     return -1j * B / np.sqrt(C), (A - 1.0) / C
 
 
@@ -187,7 +187,7 @@ def _apply_raw(branches: np.ndarray, gts: np.ndarray) -> np.ndarray:
     manifold = _slot_manifolds(dim)
     h1 = _h_action(branches.swapaxes(0, 1))   # (4, F, dim)
     h2 = _h_action(h1)
-    f1, f2 = _coefficients(np.arange(dim + 2), gts)   # column N: manifold N
+    f1, f2 = _coefficients(dim + 2, gts)
     return (branches[:, None] + f1[:, manifold] * h1.swapaxes(0, 1)[:, None]
             + f2[:, manifold] * h2.swapaxes(0, 1)[:, None])
 

@@ -11,12 +11,20 @@ U = 1 + f1 H + f2 H^2 there, it is
     g = 1 + 2N f2,  h = B sqrt(N / C),  e = 2 sqrt(N(N - 1)) f2,
 
 with f2 = (A - 1)/C and (A, B, C) = abc(N - 1, gt), all three factors
-real. Each element is a real-weighted sum of |c_N|^2, c_N conj(c_{N+1})
-or c_N conj(c_{N+2}) over the field's support S, so the factors are
-evaluated on the |S| support manifolds alone; what depends on the field
-alone is derived once per field. A stack of F fields is one evaluation
-over their supports laid end to end, and each field sums its own run in
-the order it sums it alone, so its elements are bit for bit those of a
+real. Over the field's support S,
+
+    v_plus = sum e(N)^2 |c_N|^2,  v_minus = sum g(N)^2 |c_N|^2,
+    w = sum h(N)^2 |c_N|^2,
+    h_plus = -i sum h(N) e(N+1) c_N conj(c_{N+1}),
+    h_minus = i sum g(N) h(N+1) c_N conj(c_{N+1}),
+    mu = sum g(N) e(N+2) c_N conj(c_{N+2}),
+
+each coherence over the N with N and N + d in S, so the factors are
+evaluated on the |S| support manifolds alone. The time-free terms, the
+levels N, the weights |c_N|^2 and the coherences c_N conj(c_{N+d}), are
+derived once per field. A stack of F fields is one evaluation over their
+supports, field after field, and each field sums its own run in the
+order it sums it alone, so its elements are bit for bit those of a
 stack of one. A vector of T times is one batched evaluation, not split
 into blocks, so its temporaries are O(T * sum of |S|). Density matrices
 are plain 4x4 complex arrays in the basis order (ee, eg, ge, gg).
@@ -75,11 +83,13 @@ class XStateElements:
             raise ValueError(f"{name} = {pops[tuple(k)]} outside [0, 1]")
 
     def to_json(self) -> dict:
+        """Floats and [re, im] pairs, nested lists like the arrays of a batch."""
+        v_plus, v_minus, w = (np.asarray(x).tolist() for x in (self.v_plus, self.v_minus, self.w))
         return {
-            "v_plus": self.v_plus,
-            "v_minus": self.v_minus,
-            "w": self.w,
-            "p": self.p,
+            "v_plus": v_plus,
+            "v_minus": v_minus,
+            "w": w,
+            "p": w,
             "h_plus": _json_complex(self.h_plus),
             "h_minus": _json_complex(self.h_minus),
             "mu": _json_complex(self.mu),
@@ -89,23 +99,35 @@ class XStateElements:
 def analytic_elements(fields, gt) -> XStateElements:
     """Closed-form reduced-matrix elements for initial |g>|g> (x) field.
 
-    Finite sums over the manifolds of the field's support S. fields is
-    one FieldState or a sequence of F fields on one dim, evaluated as one
-    stack (a leading axis of F on every element); each field's elements
+    The module docstring's six sums, with the real factors e, g and h
+    taken on the manifolds of the field's support S through one abc call;
+    a coherence whose distance d has no pair N, N + d in S is exactly
+    +0.0. fields is one FieldState or a sequence of F fields on one dim,
+    evaluated as one stack (a leading axis of F on every element); each
+    field sums its own run in the order it sums it alone, so its elements
     are bit for bit those it has alone. gt is a scalar or a 1-D vector of
     T times (a trailing axis of T); one field at a scalar gt gives Python
     scalars, and a scalar runs as a batch of one. The whole stack is one
-    kernel call, so its temporaries are O(T * sum of |S|); a caller
-    bounds memory by the stack and the T it passes.
+    kernel call, so its temporaries are O(T * sum of |S|); a caller bounds
+    memory by the stack and the T it passes.
     """
     gts = np.asarray(gt, dtype=float)
     if gts.ndim > 1:
         raise ValueError("gt must be a scalar or a 1-D vector")
     single = isinstance(fields, FieldState)
     stack = fields if single else tuple(fields)
-    terms = _support_terms(stack)
+    n, weights, bounds, pairs = _support_terms(stack)
+    A, B, C = abc(np.maximum(n - 1.0, 0.0), gts.reshape(-1, 1))   # H vanishes on manifold 0
+    f2 = (A - 1.0) / C
+    e = 2.0 * np.sqrt(n * (n - 1.0)) * f2   # (T, |S|) each
+    g = 1.0 + 2.0 * n * f2
+    h = B * np.sqrt(n / C)
+    v_plus, v_minus, w = (_segment_sums(x * x * weights, bounds) for x in (e, g, h))
+    h_plus = complex(0, -1) * _pair_sums(h, e, pairs[0])
+    h_minus = complex(0, 1) * _pair_sums(g, h, pairs[0])
+    mu = _pair_sums(g, e, pairs[1])
     shape = (() if single else (len(stack),)) + gts.shape
-    sums = [values.reshape(shape) for values in _element_sums(terms, gts.reshape(-1))]
+    sums = [values.reshape(shape) for values in (v_plus, v_minus, w, h_plus, h_minus, mu)]
     if not shape:
         sums = [values.item() for values in sums]   # Python float / complex
     return XStateElements(*sums)
@@ -114,87 +136,52 @@ def analytic_elements(fields, gt) -> XStateElements:
 # only the last stack's support terms stay cached; a bell1 peak search reads one field thrice
 @lru_cache(maxsize=1)
 def _support_terms(fields):
-    """What _element_sums needs of a field or a stack of fields alone, derived once per stack.
+    """What analytic_elements needs of a field or a stack of fields alone, derived once per stack.
 
-    Every field's support S, field after field, concatenated into one run
-    of columns: its levels as abc's argument N - 1, clamped at 0, and as N
-    (C comes from abc alone); 2 sqrt(N(N - 1)) of the factor e; the weights
-    |c_N|^2; and, per pair distance d = 1, 2, the columns of N and N + d
-    within one field and real and imaginary parts of phase * c_N
-    conj(c_{N+d}). Field f owns columns bounds[f]:bounds[f + 1] and the
-    pairs whose N lies there. The key is the field or the tuple of fields,
-    compared by identity, so a new field builds new terms.
+    Every field's support S, field after field, as one run of columns:
+    its levels N and the weights |c_N|^2, with field f owning columns
+    bounds[f]:bounds[f + 1]; and, per pair distance d = 1, 2, the columns
+    (i, j) of N and N + d within one field, the coherences c_N
+    conj(c_{N+d}) and the pair bounds of each field. The key is the field
+    or the tuple of fields, compared by identity, so a new field builds
+    new terms.
     """
     amps = _amplitude_stack(fields)
-    padded = np.zeros((len(amps), amps.shape[1] + 2), dtype=complex)   # no pair crosses a field
-    padded[:, :-2] = amps
-    c = padded.ravel()
-    at = np.flatnonzero(c)
-    n = (at % padded.shape[1]).astype(float)
-    column = np.full(c.size, -1)   # column of each nonzero amplitude, -1 elsewhere
-    column[at] = np.arange(at.size)
-    bounds = at.searchsorted(np.arange(len(amps) + 1) * padded.shape[1])
-    pairs = []   # the phases are those of h_plus, h_minus (d = 1) and mu (d = 2)
-    for d, phases in ((1, (complex(0, -1), complex(0, 1))), (2, (1.0,))):
-        j = column[at + d]
-        i = np.flatnonzero(j >= 0)
+    f, n = np.nonzero(amps)   # row-major: field after field, levels ascending
+    c = amps[f, n]
+    key = f * (amps.shape[1] + 2) + n   # sorted, and no two fields' levels lie within 2
+    bounds = f.searchsorted(np.arange(len(amps) + 1))
+    pairs = []
+    for d in (1, 2):
+        j = key.searchsorted(key + d)
+        i = np.flatnonzero(key.take(j, mode="clip") == key + d)
         j = j[i]
-        q = c[at[i]] * c[at[j]].conj()
-        parts = np.array([[(p * q).real, (p * q).imag] for p in phases])
-        pairs.append((i, j, parts, i.searchsorted(bounds)))
-    terms = (np.maximum(n - 1.0, 0.0), n, 2.0 * np.sqrt(n * (n - 1.0)), np.abs(c[at]) ** 2,
-             bounds)
+        pairs.append((i, j, c[i] * c[j].conj(), i.searchsorted(bounds)))
+    terms = (n.astype(float), np.abs(c) ** 2, bounds)
     for array in terms + sum(pairs, ()):
         array.flags.writeable = False   # every later call on this stack shares them
     return terms + (pairs,)
+
+
+def _pair_sums(left: np.ndarray, right: np.ndarray, pairs) -> np.ndarray:
+    """(F, T) sums of left(N) right(N + d) c_N conj(c_{N+d}) over one distance's pairs."""
+    i, j, coherences, pair_bounds = pairs
+    if not i.size:   # no field has a pair at this distance
+        return np.zeros((len(pair_bounds) - 1, len(left)), dtype=complex)
+    # np.take, unlike a fancy index, keeps each product row-major
+    return _segment_sums(left.take(i, axis=1) * right.take(j, axis=1) * coherences, pair_bounds)
 
 
 def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Sums over the last axis of values[..., bounds[f]:bounds[f + 1]], stacked over f first.
 
     Each slice sums pairwise along its own contiguous run, as it does when
-    it is a whole row.
+    it is a whole row; an empty slice sums to +0.
     """
-    out = np.empty((len(bounds) - 1,) + values.shape[:-1])
+    out = np.empty((len(bounds) - 1,) + values.shape[:-1], dtype=values.dtype)
     for f, (a, b) in enumerate(zip(bounds, bounds[1:])):
         np.add.reduce(values[..., a:b], axis=-1, out=out[f])
     return out
-
-
-def _element_sums(terms, times: np.ndarray):
-    """(v_plus, v_minus, w, h_plus, h_minus, mu), each of shape (F, T), from _support_terms.
-
-    The real factors e, g and h of the module docstring are taken on the
-    support columns alone, through one abc call. v_plus, v_minus and w
-    weigh |c_N|^2 by e^2, g^2 and h^2; h_plus, h_minus and mu weigh the
-    products c_N conj(c_{N+d}) by -i h(N) e(N+1), i g(N) h(N+1) and
-    g(N) e(N+2) over the pairs with both levels in S, as two real row sums
-    each, and are exactly zero where d has no pairs. np.take, unlike a
-    fancy index, keeps every product row-major, so each field's run sums
-    pairwise exactly as a stack of one does.
-    """
-    n_abc, n, e_scale, weights, bounds, pairs = terms
-    A, B, C = abc(n_abc, times[:, None])
-    f2 = (A - 1.0) / C
-    E, G, H = range(3)   # rows of factors, (T, 3, columns)
-    factors = np.empty((times.size, 3, n.size))
-    np.multiply(e_scale, f2, out=factors[:, E])
-    np.add(1.0, 2.0 * n * f2, out=factors[:, G])
-    np.multiply(B, np.sqrt(n / C), out=factors[:, H])
-    v_plus, v_minus, w = _segment_sums(factors * factors * weights, bounds).transpose(2, 0, 1)
-
-    def pair_sums(d, left, right):
-        """Per row pair: phase * sum of left(N) right(N + d) c_N conj(c_{N+d}), N and N + d in S."""
-        i, j, parts, pair_bounds = pairs[d - 1]   # parts: (rows, 2, pairs)
-        if not i.size:
-            return np.zeros((len(left), len(bounds) - 1, times.size), dtype=complex)
-        r = factors.take(left, axis=1).take(i, axis=2) * factors.take(right, axis=1).take(j, axis=2)
-        sums = _segment_sums(r[:, :, None] * parts, pair_bounds)   # (F, T, rows, 2)
-        return sums.view(complex)[..., 0].transpose(2, 0, 1)
-
-    h_plus, h_minus = pair_sums(1, [H, G], [E, H])
-    (mu,) = pair_sums(2, [G], [E])
-    return v_plus, v_minus, w, h_plus, h_minus, mu
 
 
 def assemble_density(elems: XStateElements) -> np.ndarray:

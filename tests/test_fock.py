@@ -101,6 +101,23 @@ def test_coherent_truncation_too_small():
         coherent_state(6, 16)
 
 
+@pytest.mark.parametrize("alpha, dim, parity", [(0.02, 3, "odd"), (0.255, 6, "even")])
+def test_coherent_tail_is_measured_on_the_projected_state(alpha, dim, parity):
+    # the full Poisson series leaves out less than 1e-10 here, the cat more of its own norm
+    with pytest.raises(ValueError, match="tail"):
+        coherent_state(alpha, dim, parity=parity)
+
+
+@pytest.mark.parametrize("alpha, dim, parity", [
+    (0.05, 4, "odd"), (3.0, 64, "even"), (5.0, 128, "even"), (7.0, 192, "even")])
+def test_coherent_cats_within_the_tail_bound_build(alpha, dim, parity):
+    n = np.arange(dim)
+    poisson = np.exp(n * math.log(alpha) - 0.5 * np.array([math.lgamma(k + 1) for k in n]))
+    poisson[(n % 2 == 0) if parity == "odd" else (n % 2 == 1)] = 0.0
+    expected = poisson / np.linalg.norm(poisson)
+    assert np.max(np.abs(coherent_state(alpha, dim, parity=parity).amplitudes - expected)) < 1e-15
+
+
 def test_coherent_bad_parity():
     with pytest.raises(ValueError):
         coherent_state(2, 64, parity="weird")

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +129,39 @@ def test_support_terms_are_reused_on_one_field_only():
                for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(c)))
 
 
+def test_stack_of_fields_with_and_without_pairs_equals_one_field_calls():
+    # adjacent pairs at the top of the first field and the bottom of the second, whose
+    # levels dim - 1 and 0 meet in the stack; the third, X-type field has a mu pair only
+    dim = 24
+    fields = [superpose([(dim - 2, 0.6 - 0.2j), (dim - 1, -0.5 + 0.6j)], dim),
+              superpose([(0, 0.6), (1, 0.8j)], dim),
+              superpose([(3, 1.0), (5, 0.5j), (9, -0.25)], dim)]
+    gts = np.linspace(0.0, 12.0, 57)
+    stacked = analytic_elements(fields, gts)
+    for k, field in enumerate(fields):
+        alone = analytic_elements(field, gts)
+        for name in ELEMENT_NAMES:
+            assert getattr(stacked, name)[k].tobytes() == getattr(alone, name).tobytes(), (k, name)
+        assert np.max(np.abs(assemble_density(alone) - pipeline_rho(field, gts))) <= 1e-12
+    assert np.count_nonzero(stacked.h_minus[:2], axis=-1).all()   # the first two have pairs
+    for name in ("h_plus", "h_minus"):
+        x_row = getattr(stacked, name)[2]
+        assert not x_row.any() and not np.signbit([x_row.real, x_row.imag]).any()   # all +0.0
+
+
+def test_elements_of_a_sparse_field_allocate_nothing_that_grows_with_dim():
+    field = superpose([(0, 1), (3_000_000, 1)], 3_000_001)
+    gts = np.linspace(0.0, 12.0, 256)
+    tracemalloc.start()
+    try:
+        analytic_elements(field, gts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        reduced._support_terms.cache_clear()   # let the 48 MB field go
+    assert peak < 2 ** 20
+
+
 def test_partial_trace_product_state():
     f = random_field()
     rho = partial_trace(JointState.from_field(f, "gg"))
@@ -232,6 +267,14 @@ def test_check_density_rejects_bad_matrices():
     negative = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         check_density(negative)
+
+
+def test_batched_elements_encode_as_nested_lists_of_their_rows():
+    fields = [superpose([(3, 1), (4, 1j)], 12), number_state(1, 12)]
+    gts = np.array([0.0, 0.4, 1.1])
+    batch = json.loads(json.dumps(analytic_elements(fields, gts).to_json()))
+    for name, value in batch.items():
+        assert value == [[analytic_elements(f, gt).to_json()[name] for gt in gts] for f in fields]
 
 
 def test_density_json_encoding():
