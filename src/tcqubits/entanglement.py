@@ -25,13 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reduced import X_OFF_PATTERN, XStateElements, assemble_density
+from .reduced import _NOT_FINITE, X_OFF_PATTERN, XStateElements, assemble_density
 
-_SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
-_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+#: Y(x)Y is anti-diagonal with entries (-1, 1, 1, -1), so (Y(x)Y) A (Y(x)Y) is
+#: A with both indices reversed, times these signs
+_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
 HERMITICITY_TOL = 1e-8
-_NOT_FINITE = "density matrix must be finite (no NaN or inf)"
 
 
 def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
@@ -73,21 +73,15 @@ def concurrence(rho):
     A (..., 4, 4) stack, or elements holding arrays, gives an array of the
     stack's leading shape (the elements' shape); every matrix must pass
     the Hermiticity check. Exactly X-type matrices take the Yu-Eberly
-    closed form, all others the Wootters eigen route. Elements are
-    validated; where h_plus and h_minus are exactly zero on every row, the
-    Yu-Eberly form reads the elements themselves, which equals the route
-    of their assembled matrix bit for bit, and any other elements are
-    assembled first.
+    closed form, all others the Wootters eigen route. Where h_plus and
+    h_minus are exactly zero on every row, the Yu-Eberly form reads the
+    elements themselves, which equals the route of their assembled matrix
+    bit for bit, and any other elements are assembled first.
     """
     if isinstance(rho, XStateElements):
         if np.count_nonzero(rho.h_plus) or np.count_nonzero(rho.h_minus):
             return concurrence(assemble_density(rho))
-        rho.validate()
-        mu = np.asarray(rho.mu)
-        if not np.isfinite(mu).all():
-            raise ValueError(_NOT_FINITE)
-        v_plus, v_minus, w = rho.v_plus, rho.v_minus, rho.w
-        c = _yu_eberly_form(np.abs(mu), w * w, np.abs(w), v_plus * v_minus)
+        c = _yu_eberly_form(np.abs(rho.mu), rho.w * rho.w, np.abs(rho.w), rho.v_plus * rho.v_minus)
         return float(c) if np.ndim(c) == 0 else c
     rho = _density_stack(rho, hermitian=True)
     stack = rho.reshape(-1, 4, 4)
@@ -119,10 +113,14 @@ def concurrence_x_state(rho: np.ndarray):
     return _per_matrix(_yu_eberly(rho.reshape(-1, 4, 4)), rho)
 
 
+def _spin_flip(rho: np.ndarray) -> np.ndarray:
+    """Wootters' (Y(x)Y) rho* (Y(x)Y) of a (..., 4, 4) stack."""
+    return _FLIP_SIGNS * rho[..., ::-1, ::-1].conj()
+
+
 def _wootters(rho: np.ndarray) -> np.ndarray:
-    rho_tilde = _YY @ rho.conj() @ _YY
     sq = _sqrtm_psd(rho)
-    evals = np.linalg.eigvalsh(sq @ rho_tilde @ sq)
+    evals = np.linalg.eigvalsh(sq @ _spin_flip(rho) @ sq)
     lam = np.sqrt(np.clip(evals, 0.0, None)).T  # ascending; lam[k] is one value per matrix
     c = lam[3] - lam[2] - lam[1] - lam[0]
     return np.where(c > 0.0, c, 0.0)
@@ -146,16 +144,18 @@ def _yu_eberly_form(r14, p23, r23, p14):
 
 @dataclass(frozen=True, eq=False)  # holds arrays: == is identity, hash is by id
 class TargetState:
-    """A preparation target: the exact matrix and, for a pure target, its
-    state vector (None for a mixed target)."""
+    """A preparation target: the exact matrix and, for a pure target, its state vector
+    (None for a mixed target); made only from a finite 4x4 matrix and length-4 vector."""
 
     matrix: np.ndarray
     vector: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("matrix", "vector"):
+        for name, shape in (("matrix", (4, 4)), ("vector", (4,))):
             if getattr(self, name) is not None:
                 m = np.asarray(getattr(self, name), dtype=complex)
+                if m.shape != shape or not np.isfinite(m).all():
+                    raise ValueError(f"target {name} must be finite and of shape {shape}")
                 m.flags.writeable = False
                 object.__setattr__(self, name, m)
 
@@ -210,7 +210,7 @@ def fidelity(rho: np.ndarray, sigma):
     if psi is not None:
         f = np.einsum("i,...ij,j->...", psi.conj(), rho, psi).real
     else:
-        sigma = _density_stack(sigma.matrix if isinstance(sigma, TargetState) else sigma)
+        sigma = sigma.matrix if isinstance(sigma, TargetState) else _density_stack(sigma)
         sq = _sqrtm_psd(rho)
         inner = _sqrtm_psd(sq @ sigma @ sq)
         tr = np.trace(inner, axis1=-2, axis2=-1).real

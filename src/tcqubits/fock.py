@@ -107,7 +107,9 @@ def coherent_state(alpha: complex, dim: int, parity: str = "any") -> FieldState:
     parity="even" zeroes odd-n amplitudes (the |alpha> + |-alpha> cat),
     parity="odd" zeroes even-n amplitudes; both renormalize afterwards.
     Raises if the share of the returned series' own norm that the
-    truncation leaves out (levels n >= dim) exceeds 1e-10.
+    truncation leaves out (levels n >= dim) exceeds 1e-10. Every finite
+    alpha is taken: one whose |alpha|^2 underflows gives the series'
+    leading terms, such as |1> with alpha's phase for the odd cat.
     """
     if parity not in ("any", "even", "odd"):
         raise ValueError(f"parity must be 'any', 'even' or 'odd', got {parity!r}")
@@ -119,12 +121,15 @@ def coherent_state(alpha: complex, dim: int, parity: str = "any") -> FieldState:
         a2 = abs(alpha) ** 2
     except OverflowError:
         raise ValueError(f"|alpha|^2 overflows at |alpha| = {abs(alpha):.3g}") from None
+    small = 0.0 < abs(alpha) < _SQUARES_NORMAL   # |alpha|^2 is subnormal or 0
     if alpha == 0:
         amp = np.zeros(dim, dtype=complex)
         amp[0] = 1.0
     else:
         # log-space weights; |c_n|^2 = e^{-|a|^2} |a|^{2n} / n!
-        logw = -0.5 * a2 + 0.5 * (n * math.log(a2) - np.array([math.lgamma(k + 1) for k in range(dim)]))
+        log_a2 = 2.0 * math.log(abs(alpha)) if small else math.log(a2)
+        logw = -0.5 * a2 + 0.5 * (n * log_a2
+                                  - np.array([math.lgamma(k + 1) for k in range(dim)]))
         phase = np.exp(1j * n * np.angle(alpha))
         amp = np.exp(logw) * phase
     series = 1.0   # the squared norm of the untruncated (projected) series
@@ -134,11 +139,17 @@ def coherent_state(alpha: complex, dim: int, parity: str = "any") -> FieldState:
     elif parity == "odd":
         amp[0::2] = 0.0
         series = -math.expm1(-2.0 * a2) / 2.0
+    if small and amp.any():   # the odd cat's squares underflow: scale by the largest part first
+        parts = amp.view(float)   # real division: 1 / scale overflows for a subnormal scale
+        parts /= np.max(np.abs(parts))
     norm = np.linalg.norm(amp)
     if norm == 0.0:
         raise ValueError(f"no amplitude left after {parity}-parity projection")
-    tail = 1.0 - float(np.sum(np.abs(amp) ** 2)) / series
-    if tail > 1e-10:
-        raise ValueError(f"truncation too small: tail mass {tail:.3e} exceeds 1e-10")
+    # a small alpha's series leaves out less than |alpha|^2 of itself, far under 1e-10,
+    # and its sums underflow: only a normal |alpha|^2 has its tail computed
+    if not small:
+        tail = 1.0 - float(np.sum(np.abs(amp) ** 2)) / series
+        if tail > 1e-10:
+            raise ValueError(f"truncation too small: tail mass {tail:.3e} exceeds 1e-10")
     return FieldState(amp / norm)
 

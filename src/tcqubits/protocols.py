@@ -318,6 +318,11 @@ def bell1_negative_branch_roots(ms=None) -> tuple[NegativeBranchRoot, ...]:
 # second-class Bell protocol
 
 
+#: the Bell state's own elements, the prediction every Bell2Plan shares
+_BELL2_PREDICTED = XStateElements(v_plus=0.0, v_minus=0.0, w=0.5,
+                                  h_plus=0.0, h_minus=0.0, mu=0.0)
+
+
 @dataclass(frozen=True)
 class Bell2Plan:
     """Recipe for the (|eg> + |ge>)/sqrt(2) state from the |1> field.
@@ -362,9 +367,7 @@ def bell2_plan(l: int, dim: int = 8) -> Bell2Plan:
         gt2 = math.inf
     if not math.isfinite(gt2):
         raise ValueError("l is too large: gt2 = l*pi/(2*sqrt(2)) is not a finite float")
-    predicted = XStateElements(v_plus=0.0, v_minus=0.0, w=0.5,
-                               h_plus=0.0, h_minus=0.0, mu=0.0)
-    return Bell2Plan(l=l, gt2=gt2, field=number_state(1, dim), predicted=predicted)
+    return Bell2Plan(l=l, gt2=gt2, field=number_state(1, dim), predicted=_BELL2_PREDICTED)
 
 
 # ---------------------------------------------------------------------------

@@ -47,13 +47,14 @@ EIGENVALUE_FLOOR = -1e-9
 #: neither the diagonal nor the anti-diagonal.
 X_OFF_PATTERN = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 X_OFF_PATTERN.flags.writeable = False
+_NOT_FINITE = "density matrix must be finite (no NaN or inf)"
 
 
 @dataclass(frozen=True)
 class XStateElements:
-    """The six independent entries of the |gg>-initial reduced matrix.
+    """The six independent entries of the |gg>-initial reduced matrix, checked when made.
 
-    v_plus and v_minus are the ee/gg populations, w = p fills the central
+    v_plus and v_minus are the ee/gg populations, w fills the central
     block (equal for identical qubits), mu is the ee-gg coherence and
     h_plus/h_minus the first/last row coherences (zero for fields with
     c_n c_{n+1} = 0). Each entry is a scalar, or an array for a batch:
@@ -67,16 +68,20 @@ class XStateElements:
     h_minus: complex
     mu: complex
 
-    @property
-    def p(self) -> float:
-        return self.w
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
-        """Unit trace and populations in [0, 1] within DENSITY_TOL, on every row of a batch."""
-        pops = np.array((self.v_plus, self.v_minus, self.w))
+        """Finite entries of one shape, unit trace and populations in [0, 1] within DENSITY_TOL."""
+        entries = (self.v_plus, self.v_minus, self.w, self.h_plus, self.h_minus, self.mu)
+        one_shape = len({getattr(x, "shape", ()) for x in entries}) == 1   # a Python number is ()
+        stack = np.array(entries, dtype=complex) if one_shape else None
+        if not one_shape or not np.isfinite(stack).all():
+            raise ValueError("the six elements must be finite (no NaN or inf) and of one shape")
+        pops = stack[:3].real
         if (abs(pops[0] + 2 * pops[2] + pops[1] - 1.0) > DENSITY_TOL).any():
             raise ValueError("elements violate unit trace")
-        outside = ~((-DENSITY_TOL <= pops) & (pops <= 1.0 + DENSITY_TOL))  # NaN is outside too
+        outside = ~((-DENSITY_TOL <= pops) & (pops <= 1.0 + DENSITY_TOL))
         if outside.any():
             k = np.argwhere(outside)[0]
             name = ("v_plus", "v_minus", "w")[k[0]]
@@ -188,10 +193,9 @@ def assemble_density(elems: XStateElements) -> np.ndarray:
     """4x4 density matrix from the element set, or a (..., 4, 4) stack from a batch of any shape.
 
     Layout: v_plus at (ee,ee), conj(h_plus) along the first row, conj(mu)
-    at the (ee,gg) corner, w = p filling the central block, h_minus along
+    at the (ee,gg) corner, w filling the central block, h_minus along
     the last row, v_minus at (gg,gg).
     """
-    elems.validate()
     hp, hm, mu, w = elems.h_plus, elems.h_minus, elems.mu, elems.w
     hp_c, hm_c = hp.conjugate(), hm.conjugate()
     # the 16 entries in row-major order, each a scalar or an array of the batch's shape
@@ -220,8 +224,10 @@ def is_x_type(rho: np.ndarray, tol: float = 1e-12) -> bool:
 
 
 def check_density(rho: np.ndarray) -> None:
-    """Validate Hermiticity, unit trace (both within DENSITY_TOL) and the positivity floor."""
+    """Validate finiteness, Hermiticity, unit trace (both within DENSITY_TOL) and positivity."""
     rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise ValueError(_NOT_FINITE)
     if rho.shape != (4, 4):
         raise ValueError("density matrix must be 4x4")
     if np.max(np.abs(rho - rho.conj().T)) > DENSITY_TOL:

@@ -236,6 +236,16 @@ def test_scan_underflowing_recipes(capsys):
         assert out == run_cli(["scan", "--field", unit, *args], capsys)[1]
 
 
+def test_scan_of_a_cat_whose_alpha_squared_underflows(capsys):
+    # |alpha|^2 = 0 in floats: the even cat is the vacuum
+    args = ["--gt-max", "1", "--steps", "2"]
+    code, out, err = run_cli(["scan", "--field", "even-coherent:1e-200", *args], capsys)
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    assert header[0] == "gt" and len(rows) == 2
+    assert out == run_cli(["scan", "--field", "vacuum", *args], capsys)[1]
+
+
 @pytest.mark.parametrize("recipe", ["0:nan,0", "even-coherent:nan"])
 def test_scan_nan_recipe_exits_2(recipe, capsys):
     code, _, err = run_cli(["scan", "--field", recipe, "--gt-max", "1"], capsys)

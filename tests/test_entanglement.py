@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tcqubits import (XStateElements, analytic_elements, assemble_density, bell1_plan,
-                      coherent_state, concurrence, concurrence_wootters, concurrence_x_state,
-                      fidelity, is_x_type, number_state, singlet_vector, superpose, target)
+from tcqubits import (TargetState, XStateElements, analytic_elements, assemble_density,
+                      bell1_plan, coherent_state, concurrence, concurrence_wootters,
+                      concurrence_x_state, fidelity, is_x_type, number_state, singlet_vector,
+                      superpose, target)
+from tcqubits.entanglement import _spin_flip
 
 RNG = np.random.default_rng(55)
 
@@ -258,13 +260,12 @@ def test_concurrence_of_elements_is_that_of_their_matrices_bit_for_bit(fld):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
 def test_concurrence_of_elements_rejects_a_non_finite_mu(bad):
+    # elements check themselves when made, so no concurrence of them is reached
     for mu in (bad, np.array([0.1, bad])):
-        elems = XStateElements(v_plus=0.5, v_minus=0.5, w=0.0, h_plus=0.0, h_minus=0.0, mu=mu)
         with pytest.raises(ValueError, match="must be finite"):
-            concurrence(elems)
-    with pytest.raises(ValueError, match="unit trace"):   # the elements are validated
-        concurrence(XStateElements(v_plus=0.5, v_minus=0.6, w=0.0, h_plus=0.0, h_minus=0.0,
-                                   mu=0.1))
+            XStateElements(v_plus=0.5, v_minus=0.5, w=0.0, h_plus=0.0, h_minus=0.0, mu=mu)
+    with pytest.raises(ValueError, match="unit trace"):
+        XStateElements(v_plus=0.5, v_minus=0.6, w=0.0, h_plus=0.0, h_minus=0.0, mu=0.1)
 
 
 def test_one_non_hermitian_matrix_fails_the_whole_batch():
@@ -315,3 +316,30 @@ def test_fidelity_rejects_a_non_finite_target_matrix():
     sigma[1, 2] = math.nan
     with pytest.raises(ValueError, match="finite"):
         fidelity(random_density(), sigma)
+
+
+BELL2 = target("bell2")
+
+
+@pytest.mark.parametrize("matrix, vector, message", [
+    (np.full((4, 4), math.nan), None, "matrix must be finite and of shape"),
+    (np.diag([math.inf, 0.0, 0.0, 0.0]), None, "matrix must be finite and of shape"),
+    (np.eye(3) / 3, None, "matrix must be finite and of shape"),
+    (np.eye(4)[None] / 4, None, "matrix must be finite and of shape"),
+    (BELL2.matrix, [math.nan, 1.0, 1.0, 0.0], "vector must be finite and of shape"),
+    (BELL2.matrix, [0.0, complex(1.0, math.inf), 1.0, 0.0], "vector must be finite and of shape"),
+    (BELL2.matrix, [0.0, 1.0, 1.0], "vector must be finite and of shape"),
+    (BELL2.matrix, BELL2.matrix, "vector must be finite and of shape"),
+], ids=["nan-matrix", "inf-matrix", "3x3-matrix", "stacked-matrix", "nan-vector",
+        "inf-vector", "short-vector", "matrix-as-vector"])
+def test_targets_check_themselves_when_made(matrix, vector, message):
+    # a target that cannot be made never reaches fidelity, so fidelity never returns nan
+    with pytest.raises(ValueError, match=message):
+        TargetState(matrix, vector)
+
+
+def test_spin_flip_is_the_signed_index_reversal():
+    sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
+    yy = np.kron(sigma_y, sigma_y)
+    for rhos in (density_stack(7, 50), random_density(), np.array([density_stack(8, 3)] * 2)):
+        assert np.array_equal(_spin_flip(rhos), yy @ rhos.conj() @ yy)

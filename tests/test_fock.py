@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -174,3 +175,16 @@ def test_field_json_encoding():
 def test_odd_projection_of_the_vacuum_leaves_nothing():
     with pytest.raises(ValueError, match="no amplitude left after odd-parity projection"):
         coherent_state(0, 8, parity="odd")
+
+
+def test_coherent_state_takes_an_alpha_whose_square_underflows():
+    # |alpha|^2 = 0 in floats: the state is |0> + alpha|1> to double precision, and
+    # its cats are |0> and |1> with alpha's phase
+    alpha = 1e-200 * cmath.exp(0.3j)
+    c = coherent_state(alpha, 8).amplitudes
+    assert c[0] == 1.0 and c[1] == pytest.approx(alpha, rel=1e-12) and not c[2:].any()
+    even = coherent_state(alpha, 8, parity="even")
+    assert even.amplitudes.tobytes() == number_state(0, 8).amplitudes.tobytes()
+    odd = coherent_state(alpha, 8, parity="odd").amplitudes
+    assert odd[1] == pytest.approx(cmath.exp(0.3j), abs=1e-15)
+    assert not np.delete(odd, 1).any()

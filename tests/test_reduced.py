@@ -45,7 +45,6 @@ def test_single_photon_central_element():
     for gt in np.linspace(0, 4.5, 25):
         e = analytic_elements(f, float(gt))
         assert e.w == pytest.approx(0.5 * math.sin(math.sqrt(2) * gt) ** 2, abs=1e-12)
-        assert e.p == e.w
         assert e.v_plus == pytest.approx(0.0, abs=1e-12)
         assert abs(e.mu) < 1e-14 and abs(e.h_plus) < 1e-14 and abs(e.h_minus) < 1e-14
 
@@ -267,6 +266,10 @@ def test_check_density_rejects_bad_matrices():
     negative = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         check_density(negative)
+    # non-finite input is rejected before any arithmetic can warn or fail to converge
+    for non_finite in (np.full((4, 4), np.nan), np.diag([np.inf, 0.0, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="must be finite"):
+            check_density(non_finite)
 
 
 def test_batched_elements_encode_as_nested_lists_of_their_rows():
@@ -351,6 +354,27 @@ def test_elements_reject_a_matrix_of_times():
         analytic_elements(number_state(1, 8), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ELEMENT_NAMES)
+def test_elements_reject_a_non_finite_entry_when_made(name, bad):
+    good = dict(v_plus=0.25, v_minus=0.25, w=0.25, h_plus=0.1j, h_minus=-0.1j, mu=0.1)
+    with pytest.raises(ValueError, match="must be finite"):
+        XStateElements(**{**good, name: bad})
+    batch = {k: np.full((2, 3), v) for k, v in good.items()}
+    batch[name][1, 2] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        XStateElements(**batch)
+
+
+def test_elements_of_more_than_one_shape_are_rejected_when_made():
+    with pytest.raises(ValueError, match="of one shape"):
+        XStateElements(v_plus=np.zeros(2), v_minus=np.ones(2), w=np.zeros(2),
+                       h_plus=0.0, h_minus=0.0, mu=0.0)
+    with pytest.raises(ValueError, match="of one shape"):
+        XStateElements(**{name: np.zeros((2, 3) if name == "mu" else 3, complex)
+                          for name in ELEMENT_NAMES[1:]}, v_plus=np.ones(3))
+
+
 @pytest.mark.parametrize("bad_row, message", [
     (dict(v_plus=0.6, v_minus=0.6, w=0.1), "unit trace"),
     (dict(v_plus=1.2, v_minus=-0.2, w=0.0), "outside"),
@@ -358,10 +382,7 @@ def test_elements_reject_a_matrix_of_times():
 def test_one_bad_row_fails_the_whole_batch(bad_row, message):
     good = dict(v_plus=0.25, v_minus=0.25, w=0.25)
     rows = [good, bad_row, good]
-    elems = XStateElements(**{k: np.array([r[k] for r in rows]) for k in good},
-                           h_plus=np.zeros(3, complex), h_minus=np.zeros(3, complex),
-                           mu=np.zeros(3, complex))
-    with pytest.raises(ValueError, match=message):
-        elems.validate()
-    with pytest.raises(ValueError, match=message):
-        assemble_density(elems)
+    with pytest.raises(ValueError, match=message):   # checked when made
+        XStateElements(**{k: np.array([r[k] for r in rows]) for k in good},
+                       h_plus=np.zeros(3, complex), h_minus=np.zeros(3, complex),
+                       mu=np.zeros(3, complex))

@@ -16,7 +16,8 @@ DELETED_NAMES = ("propagator_matrix", "excitation_operator", "NegativeBranchSear
                  "BLOCK_ENTRIES", "eof", "werner_eta_from_k", "neighbor_product_zero",
                  "bell1_conditions_residual", "bell1_vector", "bell2_vector", "_classify_root")
 DELETED_MEMBERS = (("FieldState", "from_json"), ("FieldState", "norm"),
-                   ("PathComparison", "to_json"), ("FieldState", "has_headroom"))
+                   ("PathComparison", "to_json"), ("FieldState", "has_headroom"),
+                   ("XStateElements", "p"))
 #: dataclass fields removed because no caller read them, or because their value is
 #: constant or derivable and the plan JSON writes it instead (unique_m, degenerate, period),
 #: or because it is a theorem (NegativeBranchRoot.feasible is always False), or because it is
