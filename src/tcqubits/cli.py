@@ -41,8 +41,8 @@ from .reduced import analytic_elements, assemble_density, density_to_json
 from .protocols import bell1_plan, bell2_plan, linspace_at, verify_plan, werner_solve
 
 VALIDATE_GT_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 8.673, 12.0)
-#: validate's cap on the complex entries of one compare_paths call's (F, T, 4, dim) joint
-#: stack (4 MiB); one field alone may exceed it
+#: validate's cap on F * T * 4 * dim, one compare_paths call's complex entries (4 MiB) at the
+#: full dim, which bounds the (F, T, 4, prefix) stacks it holds; one field alone may exceed it
 VALIDATE_STACK_ENTRIES = 2 ** 18
 #: scan rows evaluated (and, for CSV, written) per batched kernel call
 SCAN_CHUNK = 256
@@ -84,6 +84,14 @@ PRESETS = {
     "werner": lambda dim: (werner_solve(1 / 3, 1 / 6, dim=dim).field, target("werner", eta=1.0)),
 }
 PRESET_NAMES = ", ".join(PRESETS) + ", even-coherent[:alpha]"   # as help and errors list them
+#: the presets validate compares after its random trials
+VALIDATE_PRESETS = ("bell1-m30", "single-photon", "werner")
+
+
+@lru_cache(maxsize=1)
+def _validate_fields(dim: int) -> tuple[FieldState, ...]:
+    """VALIDATE_PRESETS' fields at dim, built once per dim: validate uses nothing else of them."""
+    return tuple(PRESETS[name](dim)[0] for name in VALIDATE_PRESETS)
 
 
 def build_field(recipe: str, dim: int) -> tuple[FieldState, TargetState | None]:
@@ -257,7 +265,7 @@ def cmd_validate(args) -> int:
     support = min(40, dim - 8)
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    presets = {name: PRESETS[name](dim)[0] for name in ("bell1-m30", "single-photon", "werner")}
+    presets = _validate_fields(dim)
 
     rng = np.random.default_rng(args.seed)
     gts = np.array(VALIDATE_GT_GRID)
@@ -269,7 +277,7 @@ def cmd_validate(args) -> int:
 
     # the trials, then the presets, compared a bounded stack at a time; the
     # worst (density, joint) deviations of all trials go to row 0, a preset's to its own row
-    fields = chain((random_field() for _ in range(args.trials)), presets.values())
+    fields = chain((random_field() for _ in range(args.trials)), presets)
     batch = max(1, VALIDATE_STACK_ENTRIES // (gts.size * 4 * dim))
     worst = np.zeros((1 + len(presets), 2))
     for start in range(0, args.trials + len(presets), batch):
@@ -282,7 +290,7 @@ def cmd_validate(args) -> int:
              f"max_density_dev={_fmt(worst_rho)} max_joint_dev={_fmt(worst_joint)}\n"]
 
     overall = max(worst_rho, worst_joint)
-    for name, devs in zip(presets, preset_devs):
+    for name, devs in zip(VALIDATE_PRESETS, preset_devs):
         lines.append(f"preset {name}: max_dev={_fmt(max(devs))}\n")
         overall = max(overall, *devs)
 

@@ -67,22 +67,30 @@ def _amplitude_stack(fields) -> np.ndarray:
 
 def number_state(n: int, dim: int) -> FieldState:
     """Field state |n> in a dim-dimensional truncation."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if not 0 <= n < dim:
-        raise IndexError(f"photon number {n} outside truncation [0, {dim})")
-    amp = np.zeros(dim, dtype=complex)
-    amp[n] = 1.0
-    return FieldState(amp)
+    return superpose([(n, 1.0)], dim)
+
+
+def _normalized(amp: np.ndarray, empty: str) -> FieldState:
+    """FieldState(amp / its norm), or ValueError(empty) when every amplitude is 0.
+
+    Amplitudes whose squares overflow or underflow inside the norm are
+    first scaled by their largest real or imaginary part.
+    """
+    if not amp.any():
+        raise ValueError(empty)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(amp)
+    if not _SQUARES_NORMAL <= norm < np.inf:
+        parts = amp.view(float)   # real division: 1 / scale overflows for a subnormal scale
+        parts /= np.max(np.abs(parts))
+        norm = np.linalg.norm(amp)
+    return FieldState(amp / norm)
 
 
 def superpose(terms, dim: int) -> FieldState:
-    """Superposition sum_k coeff_k |n_k> from (n, coefficient) pairs, rescaled to unit norm.
-
-    Coefficient phases are preserved. Finite, nonzero coefficients whose
-    squares overflow or underflow inside the norm are scaled by their
-    largest component first; every other recipe is divided by its norm alone.
-    """
+    """Superposition sum_k coeff_k |n_k> from (n, coefficient) pairs, phases kept, at unit norm."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     amp = np.zeros(dim, dtype=complex)
     for n, coeff in terms:
         if not 0 <= n < dim:
@@ -90,15 +98,7 @@ def superpose(terms, dim: int) -> FieldState:
         amp[n] += complex(coeff)
     if not np.isfinite(amp).all():
         raise ValueError("superposition coefficients must be finite")
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(amp)
-    if amp.any() and not _SQUARES_NORMAL <= norm < np.inf:
-        parts = amp.view(float)   # real division: 1 / scale overflows for a subnormal scale
-        parts /= np.max(np.abs(parts))
-        norm = np.linalg.norm(amp)
-    if norm == 0.0:
-        raise ValueError("superposition has all-zero coefficients")
-    return FieldState(amp / norm)
+    return _normalized(amp, "superposition has all-zero coefficients")
 
 
 def coherent_state(alpha: complex, dim: int, parity: str = "any") -> FieldState:
@@ -106,13 +106,17 @@ def coherent_state(alpha: complex, dim: int, parity: str = "any") -> FieldState:
 
     parity="even" zeroes odd-n amplitudes (the |alpha> + |-alpha> cat),
     parity="odd" zeroes even-n amplitudes; both renormalize afterwards.
-    Raises if the share of the returned series' own norm that the
-    truncation leaves out (levels n >= dim) exceeds 1e-10. Every finite
-    alpha is taken: one whose |alpha|^2 underflows gives the series'
-    leading terms, such as |1> with alpha's phase for the odd cat.
+    Every finite alpha is taken: one whose |alpha|^2 underflows gives the
+    series' leading terms, such as |1> with alpha's phase for the odd cat.
+    "truncation too small" means levels n >= dim leave out more than 1e-10
+    of the returned series' own norm (all of it, when every kept amplitude
+    is zero); "no amplitude left" means the projection leaves no series, as
+    for the odd cat of the vacuum.
     """
     if parity not in ("any", "even", "odd"):
         raise ValueError(f"parity must be 'any', 'even' or 'odd', got {parity!r}")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
@@ -121,7 +125,7 @@ def coherent_state(alpha: complex, dim: int, parity: str = "any") -> FieldState:
         a2 = abs(alpha) ** 2
     except OverflowError:
         raise ValueError(f"|alpha|^2 overflows at |alpha| = {abs(alpha):.3g}") from None
-    small = 0.0 < abs(alpha) < _SQUARES_NORMAL   # |alpha|^2 is subnormal or 0
+    small = abs(alpha) < _SQUARES_NORMAL   # |alpha|^2 is subnormal or 0
     if alpha == 0:
         amp = np.zeros(dim, dtype=complex)
         amp[0] = 1.0
@@ -139,17 +143,10 @@ def coherent_state(alpha: complex, dim: int, parity: str = "any") -> FieldState:
     elif parity == "odd":
         amp[0::2] = 0.0
         series = -math.expm1(-2.0 * a2) / 2.0
-    if small and amp.any():   # the odd cat's squares underflow: scale by the largest part first
-        parts = amp.view(float)   # real division: 1 / scale overflows for a subnormal scale
-        parts /= np.max(np.abs(parts))
-    norm = np.linalg.norm(amp)
-    if norm == 0.0:
-        raise ValueError(f"no amplitude left after {parity}-parity projection")
-    # a small alpha's series leaves out less than |alpha|^2 of itself, far under 1e-10,
-    # and its sums underflow: only a normal |alpha|^2 has its tail computed
-    if not small:
-        tail = 1.0 - float(np.sum(np.abs(amp) ** 2)) / series
-        if tail > 1e-10:
-            raise ValueError(f"truncation too small: tail mass {tail:.3e} exceeds 1e-10")
-    return FieldState(amp / norm)
-
+    # a small alpha's sums underflow: its series leaves out less than |alpha|^2 of
+    # itself, far under 1e-10, unless the truncation keeps none of it
+    tail = (float(alpha != 0 and not amp.any()) if small
+            else 1.0 - float(np.sum(np.abs(amp) ** 2)) / series)
+    if tail > 1e-10:
+        raise ValueError(f"truncation too small: tail mass {tail:.3e} exceeds 1e-10")
+    return _normalized(amp, f"no amplitude left after {parity}-parity projection")

@@ -104,12 +104,13 @@ def abc(n, gt):
     C(n) = 2(2n+1), A = cos(gt sqrt(C)), B = sin(gt sqrt(C)). n and gt
     may be scalars or broadcastable arrays (A and B take their broadcast
     shape, C the shape of n); all-scalar input returns floats. n must be
-    >= 0 (C would go negative otherwise, putting an imaginary argument
-    under the cosine), and gt sqrt(C) finite: a NaN, an infinite gt or a
-    product that overflows raises, with no warning.
+    finite and >= 0 (C would go negative otherwise, putting an imaginary
+    argument under the cosine), and gt sqrt(C) finite: a NaN, an infinite
+    gt or a product that overflows raises, with no warning.
     """
     n_arr = np.asarray(n, dtype=float)
-    if (n_arr < 0).any():   # the method skips np.any's dispatch, paying for the errstate
+    # a NaN fails both tests; the methods skip np.all's dispatch, paying for the errstate
+    if not ((n_arr >= 0) & (n_arr < np.inf)).all():
         raise ValueError("abc requires n >= 0; callers guard the n-1 terms themselves")
     C = 2.0 * (2.0 * n_arr + 1.0)
     with np.errstate(over="ignore"):

@@ -733,7 +733,12 @@ SCAN_VACUUM = ["scan", "--field", "vacuum", "--dim", "8"]
     (SCAN_VACUUM + ["--gt-max", "1", "--steps", "1"], "--steps must be >= 2"),
     (SCAN_VACUUM + ["--gt-max", "1", "--outputs", "elements,bogus"], "unknown outputs ['bogus']"),
     (["plan", "bell1", "--m", "30", "--phi", "pi3"], "cannot parse phase 'pi3'"),
-], ids=["window", "steps", "outputs", "phase"])
+    (["scan", "--field", "even-coherent:40", "--dim", "10", "--gt-max", "1", "--steps", "2"],
+     "invalid field recipe 'even-coherent:40': "
+     "truncation too small: tail mass 1.000e+00 exceeds 1e-10"),
+    (["scan", "--field", "0:1,0", "--dim", "-3", "--gt-max", "1", "--steps", "2"],
+     "invalid field recipe '0:1,0': dim must be >= 1"),
+], ids=["window", "steps", "outputs", "phase", "underflowing-cat", "negative-dim"])
 def test_scan_and_phase_checks_exit_2_with_their_message(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert_one_line_usage_error(code, out, err)

@@ -119,6 +119,23 @@ def test_coherent_cats_within_the_tail_bound_build(alpha, dim, parity):
     assert np.max(np.abs(coherent_state(alpha, dim, parity=parity).amplitudes - expected)) < 1e-15
 
 
+@pytest.mark.parametrize("alpha, dim, parity", [(30, 10, "any"), (40, 10, "even"), (2.0, 1, "odd")])
+def test_coherent_series_that_underflows_or_is_cut_away_is_a_truncation_fault(alpha, dim, parity):
+    # every kept amplitude's square underflows, or dim 1 keeps no odd level: the
+    # truncation leaves out all of the series, which the projection did not empty
+    with pytest.raises(ValueError, match="truncation too small: tail mass 1.000e"):
+        coherent_state(alpha, dim, parity=parity)
+
+
+@pytest.mark.parametrize("dim", [0, -3])
+@pytest.mark.parametrize("build", [lambda d: superpose([(0, 1)], d), lambda d: coherent_state(1, d),
+                                   lambda d: number_state(0, d)],
+                         ids=["superpose", "coherent_state", "number_state"])
+def test_constructors_reject_a_dim_below_one(build, dim):
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        build(dim)
+
+
 def test_coherent_bad_parity():
     with pytest.raises(ValueError):
         coherent_state(2, 64, parity="weird")

@@ -39,6 +39,13 @@ def test_abc_rejects_negative_n():
         abc(-1, 0.3)
 
 
+@pytest.mark.parametrize("n", [np.nan, [1.0, np.nan], np.inf], ids=str)
+def test_abc_names_a_nonfinite_n(n):
+    # gt is finite here: the fault is n, not the product gt sqrt(C)
+    with pytest.raises(ValueError, match="abc requires n >= 0"):
+        abc(n, 1.0)
+
+
 def test_abc_rejects_an_overflowing_phase():
     # the suite turns warnings into errors, so each case also shows that none is emitted
     with pytest.raises(ValueError, match=r"gt \* sqrt\(C\) overflows"):
