@@ -84,14 +84,6 @@ PRESETS = {
     "werner": lambda dim: (werner_solve(1 / 3, 1 / 6, dim=dim).field, target("werner", eta=1.0)),
 }
 PRESET_NAMES = ", ".join(PRESETS) + ", even-coherent[:alpha]"   # as help and errors list them
-#: the presets validate compares after its random trials
-VALIDATE_PRESETS = ("bell1-m30", "single-photon", "werner")
-
-
-@lru_cache(maxsize=1)
-def _validate_fields(dim: int) -> tuple[FieldState, ...]:
-    """VALIDATE_PRESETS' fields at dim, built once per dim: validate uses nothing else of them."""
-    return tuple(PRESETS[name](dim)[0] for name in VALIDATE_PRESETS)
 
 
 def build_field(recipe: str, dim: int) -> tuple[FieldState, TargetState | None]:
@@ -265,7 +257,7 @@ def cmd_validate(args) -> int:
     support = min(40, dim - 8)
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    presets = _validate_fields(dim)
+    presets = {name: PRESETS[name](dim)[0] for name in ("bell1-m30", "single-photon", "werner")}
 
     rng = np.random.default_rng(args.seed)
     gts = np.array(VALIDATE_GT_GRID)
@@ -277,7 +269,7 @@ def cmd_validate(args) -> int:
 
     # the trials, then the presets, compared a bounded stack at a time; the
     # worst (density, joint) deviations of all trials go to row 0, a preset's to its own row
-    fields = chain((random_field() for _ in range(args.trials)), presets)
+    fields = chain((random_field() for _ in range(args.trials)), presets.values())
     batch = max(1, VALIDATE_STACK_ENTRIES // (gts.size * 4 * dim))
     worst = np.zeros((1 + len(presets), 2))
     for start in range(0, args.trials + len(presets), batch):
@@ -290,7 +282,7 @@ def cmd_validate(args) -> int:
              f"max_density_dev={_fmt(worst_rho)} max_joint_dev={_fmt(worst_joint)}\n"]
 
     overall = max(worst_rho, worst_joint)
-    for name, devs in zip(VALIDATE_PRESETS, preset_devs):
+    for name, devs in zip(presets, preset_devs):
         lines.append(f"preset {name}: max_dev={_fmt(max(devs))}\n")
         overall = max(overall, *devs)
 
