@@ -75,13 +75,13 @@ def parse_phase(text: str) -> float:
     return phase
 
 
-#: name -> dim -> (field, its natural fidelity target or None); a protocol's field is its plan's
+#: name -> dim -> the protocol's plan (the preset's field and target), or vacuum's bare field
 PRESETS = {
-    "vacuum": lambda dim: (number_state(0, dim), None),
-    "single-photon": lambda dim: (bell2_plan(1, dim=dim).field, target("bell2")),
-    "bell1-m30": lambda dim: (bell1_plan(30, math.pi, dim=dim).field, target("bell1", phi=math.pi)),
-    "bell1-m40": lambda dim: (bell1_plan(40, 0.0, dim=dim).field, target("bell1", phi=0.0)),
-    "werner": lambda dim: (werner_solve(1 / 3, 1 / 6, dim=dim).field, target("werner", eta=1.0)),
+    "vacuum": lambda dim: number_state(0, dim),
+    "single-photon": lambda dim: bell2_plan(1, dim=dim),
+    "bell1-m30": lambda dim: bell1_plan(30, math.pi, dim=dim),
+    "bell1-m40": lambda dim: bell1_plan(40, 0.0, dim=dim),
+    "werner": lambda dim: werner_solve(1 / 3, 1 / 6, dim=dim),
 }
 PRESET_NAMES = ", ".join(PRESETS) + ", even-coherent[:alpha]"   # as help and errors list them
 
@@ -91,7 +91,8 @@ def build_field(recipe: str, dim: int) -> tuple[FieldState, TargetState | None]:
     name = recipe.strip()
     try:
         if name in PRESETS:
-            return PRESETS[name](dim)
+            plan = PRESETS[name](dim)
+            return (plan, None) if name == "vacuum" else (plan.field, plan.target)
         kind, colon, alpha = name.partition(":")
         if kind == "even-coherent":
             return coherent_state(float(alpha) if colon else 2.0, dim, parity="even"), None
@@ -257,7 +258,7 @@ def cmd_validate(args) -> int:
     support = min(40, dim - 8)
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    presets = {name: PRESETS[name](dim)[0] for name in ("bell1-m30", "single-photon", "werner")}
+    presets = {name: PRESETS[name](dim).field for name in ("bell1-m30", "single-photon", "werner")}
 
     rng = np.random.default_rng(args.seed)
     gts = np.array(VALIDATE_GT_GRID)

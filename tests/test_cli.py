@@ -14,7 +14,7 @@ import pytest
 
 from tcqubits import (analytic_elements, assemble_density, concurrence, density_to_json,
                       fidelity, target)
-from tcqubits import FieldState, cli, superpose
+from tcqubits import FieldState, TargetState, cli, superpose
 from tcqubits.cli import SCAN_CHUNK, build_field, main, parse_phase
 
 
@@ -684,11 +684,16 @@ def test_validate_keeps_every_stack_under_the_entry_cap(monkeypatch, capsys):
 
 @pytest.mark.parametrize("dim, trials", [(64, 100), (33, 1), (128, 1), (1200, 2)])
 def test_validate_compares_trials_and_presets_in_one_call(dim, trials, monkeypatch, capsys):
-    # the README and CI commands and the benchmark's: one stack each
+    # the README and CI commands and the benchmark's: one stack each, and no
+    # fidelity target built, since validate compares the two routes only
     sizes = recorded_stacks(monkeypatch)
+    targets = []
+    made = TargetState.__post_init__
+    monkeypatch.setattr(TargetState, "__post_init__", lambda t: targets.append(t) or made(t))
     code, out, _ = run_cli(["validate", "--dim", str(dim), "--trials", str(trials)], capsys)
     assert code == 0 and "PASS" in out
     assert sizes == [trials + 3]
+    assert targets == []
 
 
 def test_repeated_calls_print_what_a_fresh_process_prints(capsys):
@@ -756,8 +761,15 @@ def test_every_preset_is_listed_and_builds(monkeypatch, capsys):
     for name in [*cli.PRESETS, "even-coherent[:alpha]"]:
         assert name in help_text and name in err, name
     for name in cli.PRESETS:
-        fld, _ = build_field(name, 48)
+        fld, tgt = build_field(name, 48)
         assert fld.amplitudes.size == 48, name
+        if name == "vacuum":
+            assert tgt is None
+            continue
+        plan = cli.PRESETS[name](48)   # a protocol preset is its plan's field and target
+        assert np.array_equal(fld.amplitudes, plan.field.amplitudes), name
+        assert np.array_equal(tgt.matrix, plan.target.matrix), name
+        assert np.array_equal(tgt.vector, plan.target.vector), name
 
 
 def test_bell1_m40_preset_is_the_planned_field_and_reaches_its_target(capsys):

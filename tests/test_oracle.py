@@ -354,7 +354,7 @@ def test_tolerated_amplitude_past_the_cut_keeps_the_full_size(monkeypatch):
 
 def validate_mix(dim, seed):
     """The fields of one `validate` call at dim: its random trial, then its three presets."""
-    presets = [PRESETS[name](dim)[0] for name in ("bell1-m30", "single-photon", "werner")]
+    presets = [PRESETS[name](dim).field for name in ("bell1-m30", "single-photon", "werner")]
     return [validate_field(dim, min(40, dim - 8), seed)] + presets
 
 

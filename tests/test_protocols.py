@@ -10,6 +10,7 @@ from tcqubits import (JointState, abc, analytic_elements, apply_propagator, asse
                       bell2_plan, concurrence, evolve_oracle, fidelity, first_concurrence_peak,
                       number_state, partial_trace, singlet_vector, superpose, target,
                       verify_plan, werner_forward_elements, werner_solve)
+from tcqubits import protocols
 from tcqubits.cli import SCAN_CHUNK
 from tcqubits.protocols import (NEGATIVE_BRANCH_REFERENCE_SEEDS, WERNER_MAX_LATTICE,
                                 WERNER_PERIOD, _concurrence_at, _refine_peak, golden_section_max,
@@ -706,7 +707,15 @@ def test_verify_plan_rejects_unknown_type():
 
 @pytest.mark.parametrize("plan,default", [(bell1_plan(8, 0.0), 1e-3), (bell2_plan(1), 1e-9),
                                           (werner_solve(1 / 3, 1 / 6), 2e-3)])
-def test_each_plan_verifies_at_its_own_default_tolerance(plan, default):
+def test_each_plan_verifies_at_its_own_default_tolerance(plan, default, monkeypatch):
+    measured = []   # the target of every _measure call
+    measure = protocols._measure
+    monkeypatch.setattr(protocols, "_measure", lambda *a: measured.append(a[2]) or measure(*a))
     assert verify_plan(plan) == plan.verify()
     assert verify_plan(plan).tolerance == default
     assert verify_plan(plan, 0.5).tolerance == 0.5
+    # each verify measures against the state its plan promises (a mixed one has no vector)
+    assert len(measured) == 4
+    for tgt in measured:
+        assert np.array_equal(tgt.matrix, plan.target.matrix)
+        assert np.array_equal(tgt.vector, plan.target.vector)
