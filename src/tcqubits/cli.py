@@ -13,7 +13,11 @@ Each command checks every input before it opens --out, so a usage error
 leaves an existing file untouched; an unwritable --out or stdout (a failed
 write or close, a full device, a reader that closed the pipe early, a
 closed descriptor 1) is a usage error too, and so is a --dim or --m too
-large to allocate.
+large to allocate. A field holds only its occupied levels, so --dim
+allocates nothing in validate or in scan of a preset or an explicit
+superposition; what still allocates by --dim is plan's JSON field, padded
+to dim levels, and an even-coherent recipe, built on all dim levels. Where
+the OS overcommits memory, such a run can be killed instead of exiting 2.
 Exit codes: 0 success, 1 verification/validation failure, 2 usage error.
 Identical invocations (flags + seed) produce byte-identical output.
 """
@@ -41,8 +45,9 @@ from .reduced import analytic_elements, assemble_density, density_to_json
 from .protocols import bell1_plan, bell2_plan, linspace_at, verify_plan, werner_solve
 
 VALIDATE_GT_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 8.673, 12.0)
-#: validate's cap on F * T * 4 * dim, one compare_paths call's complex entries (4 MiB) at the
-#: full dim, which bounds the (F, T, 4, prefix) stacks it holds; one field alone may exceed it
+#: validate's cap on F * T * 4 * dim complex entries (4 MiB) per compare_paths call, which bounds
+#: the (F, T, 4, width) stacks it holds, width <= dim the fields' held levels; one field alone
+#: may exceed it
 VALIDATE_STACK_ENTRIES = 2 ** 18
 #: scan rows evaluated (and, for CSV, written) per batched kernel call
 SCAN_CHUNK = 256
@@ -181,7 +186,7 @@ def cmd_scan(args) -> int:
     if "density" in outputs and not as_json:
         raise UsageError("density output requires --format json")
     fld, preset_target = build_field(args.field, args.dim)
-    top = int(np.flatnonzero(fld.amplitudes)[-1])
+    top = fld.amplitudes.size - 1
     try:   # the grid lies inside the window, so its ends bound every phase gt sqrt(C)
         abc(max(top - 1, 0), np.array([args.gt_min, args.gt_max]))
     except ValueError:
@@ -264,9 +269,8 @@ def cmd_validate(args) -> int:
     gts = np.array(VALIDATE_GT_GRID)
 
     def random_field():
-        amps = np.zeros(dim, dtype=complex)
-        amps[:support] = rng.normal(size=support) + 1j * rng.normal(size=support)
-        return FieldState(amps / np.linalg.norm(amps))
+        amps = rng.normal(size=support) + 1j * rng.normal(size=support)
+        return FieldState(amps / np.linalg.norm(amps), dim)
 
     # the trials, then the presets, compared a bounded stack at a time; the
     # worst (density, joint) deviations of all trials go to row 0, a preset's to its own row

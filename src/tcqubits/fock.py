@@ -1,10 +1,13 @@
 """Truncated-Fock-space optical field states.
 
-A field state is a complex amplitude vector c_n over photon numbers
-n = 0..dim-1, normalized to unit norm. The constructors here cover the
-states used by the preparation protocols: single number states,
-few-term number-state superpositions (including next-nearest-neighbor
-pairs c_m|m> + c_{m+2}|m+2>), and parity-projected coherent states.
+A field state is a unit-norm complex amplitude vector c_n over photon
+numbers n = 0..dim-1. FieldState holds only levels 0..top, top the
+highest nonzero one: dim is the declared truncation, not an allocation,
+and every route downstream works on the held levels alone. The
+constructors here cover the states used by the preparation protocols:
+single number states, few-term number-state superpositions (including
+next-nearest-neighbor pairs c_m|m> + c_{m+2}|m+2>), and parity-projected
+coherent states.
 Each propagates exactly from |gg>: |gg, n> lies on excitation manifold
 n <= dim - 1, the truncation's one rule (propagator.ensure_headroom).
 """
@@ -31,38 +34,53 @@ def _json_complex(values):
 
 @dataclass(frozen=True, eq=False)  # holds an array: == is identity, hash is by id
 class FieldState:
-    """Immutable field state: amplitudes[n] is the coefficient of |n>."""
+    """Immutable field state on dim levels: amplitudes[n] is the coefficient of |n>.
+
+    amplitudes is a read-only copy of the given vector up to its highest
+    nonzero level; the levels above it, up to dim - 1, are zero and not
+    held. dim defaults to the length of the given vector.
+    """
 
     amplitudes: np.ndarray
+    dim: int | None = None
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.ndim != 1 or amp.size < 1:
             raise ValueError("amplitudes must be a nonempty 1-D vector")
+        object.__setattr__(self, "dim", amp.size if self.dim is None else self.dim)
+        if amp.size > self.dim:
+            raise ValueError(f"{amp.size} amplitudes exceed dim {self.dim}")
         norm = np.linalg.norm(amp)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"field state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-        amp.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
+        held = amp[:np.flatnonzero(amp)[-1] + 1].copy()
+        held.flags.writeable = False
+        object.__setattr__(self, "amplitudes", held)
 
     def to_json(self) -> dict:
-        return {"dim": self.dim, "amplitudes": _json_complex(self.amplitudes)}
+        """dim and all dim amplitudes, the levels above the held ones as zeros."""
+        padded = np.concatenate((self.amplitudes, np.zeros(self.dim - self.amplitudes.size)))
+        return {"dim": self.dim, "amplitudes": _json_complex(padded)}
 
 
-def _amplitude_stack(fields) -> np.ndarray:
-    """(F, dim) amplitudes of a sequence of F >= 1 fields on one dim; one FieldState is F = 1."""
+def _amplitude_stack(fields) -> tuple[np.ndarray, int]:
+    """(F, width) held amplitudes of F >= 1 fields on one dim, and that dim.
+
+    One FieldState is F = 1, a view of its own amplitudes; a stack is
+    zero-filled to its widest field.
+    """
     if isinstance(fields, FieldState):
-        return fields.amplitudes[None]
+        return fields.amplitudes[None], fields.dim
     stack = tuple(fields)
     if not stack:
         raise ValueError("a stack needs at least one field")
     if len({f.dim for f in stack}) > 1:
         raise ValueError("the fields of a stack must share one dim")
-    return np.array([f.amplitudes for f in stack])
+    width = max(f.amplitudes.size for f in stack)
+    amps = np.array([np.concatenate((f.amplitudes, np.zeros(width - f.amplitudes.size)))
+                     for f in stack])
+    return amps, stack[0].dim
 
 
 def number_state(n: int, dim: int) -> FieldState:
@@ -70,8 +88,8 @@ def number_state(n: int, dim: int) -> FieldState:
     return superpose([(n, 1.0)], dim)
 
 
-def _normalized(amp: np.ndarray, empty: str) -> FieldState:
-    """FieldState(amp / its norm), or ValueError(empty) when every amplitude is 0.
+def _normalized(amp: np.ndarray, dim: int, empty: str) -> FieldState:
+    """FieldState(amp / its norm, dim), or ValueError(empty) when every amplitude is 0.
 
     Amplitudes whose squares overflow or underflow inside the norm are
     first scaled by their largest real or imaginary part.
@@ -84,21 +102,26 @@ def _normalized(amp: np.ndarray, empty: str) -> FieldState:
         parts = amp.view(float)   # real division: 1 / scale overflows for a subnormal scale
         parts /= np.max(np.abs(parts))
         norm = np.linalg.norm(amp)
-    return FieldState(amp / norm)
+    return FieldState(amp / norm, dim)
 
 
 def superpose(terms, dim: int) -> FieldState:
-    """Superposition sum_k coeff_k |n_k> from (n, coefficient) pairs, phases kept, at unit norm."""
+    """Superposition sum_k coeff_k |n_k> from (n, coefficient) pairs, phases kept, at unit norm.
+
+    Every n is checked against dim first; only levels 0..max n are allocated.
+    """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    amp = np.zeros(dim, dtype=complex)
-    for n, coeff in terms:
+    terms = list(terms)
+    for n, _ in terms:
         if not 0 <= n < dim:
             raise IndexError(f"photon number {n} outside truncation [0, {dim})")
+    amp = np.zeros(max((n for n, _ in terms), default=0) + 1, dtype=complex)
+    for n, coeff in terms:
         amp[n] += complex(coeff)
     if not np.isfinite(amp).all():
         raise ValueError("superposition coefficients must be finite")
-    return _normalized(amp, "superposition has all-zero coefficients")
+    return _normalized(amp, dim, "superposition has all-zero coefficients")
 
 
 def coherent_state(alpha: complex, dim: int, parity: str = "any") -> FieldState:
@@ -149,4 +172,4 @@ def coherent_state(alpha: complex, dim: int, parity: str = "any") -> FieldState:
             else 1.0 - float(np.sum(np.abs(amp) ** 2)) / series)
     if tail > 1e-10:
         raise ValueError(f"truncation too small: tail mass {tail:.3e} exceeds 1e-10")
-    return _normalized(amp, f"no amplitude left after {parity}-parity projection")
+    return _normalized(amp, dim, f"no amplitude left after {parity}-parity projection")

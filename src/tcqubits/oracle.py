@@ -7,10 +7,10 @@ excitation number N = photons + excited qubits (Tavis & Cummings, Phys.
 Rev. 170, 379 (1968)). It is therefore block-diagonal: manifold N spans
 {ee,N-2; eg,N-1; ge,N-1; gg,N}, one real symmetric 4x4 block per N.
 Evolution is the exact spectral exponential exp(-i gt H) of each block,
-no series truncation, on the occupied level prefix that evolve_with
-hands it. Agreement with the closed-form propagator on full
-joint states is the package's central correctness check. The dense
-`build_hamiltonian` is kept as the tests' arbiter of the blocks.
+no series truncation, on the levels the state holds. Agreement with the
+closed-form propagator on full joint states is the package's central
+correctness check. The dense `build_hamiltonian` is kept as the tests'
+arbiter of the blocks.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import FieldState
-from .propagator import (EE, EG, GE, GG, QUBIT_EXC, JointState, _occupied_prefix, _slot_manifolds,
-                         apply_propagator, evolve_with)
+from .propagator import (EE, EG, GE, GG, QUBIT_EXC, JointState, _slot_manifolds, apply_propagator,
+                         evolve_with)
 from .reduced import analytic_elements, assemble_density, partial_trace
 
 
@@ -131,8 +131,7 @@ def compare_paths(fields, gt) -> PathComparison:
     if not isinstance(fields, FieldState):
         fields = tuple(fields)
     times = np.atleast_1d(np.asarray(gt, dtype=float))
-    full = JointState.from_field(fields, "gg").branches
-    joint0 = JointState(full[..., :_occupied_prefix(full)])
+    joint0 = JointState.from_field(fields, "gg")
     evolved = apply_propagator(joint0, times)
     brute = evolve_oracle(joint0, times)
 

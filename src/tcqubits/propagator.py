@@ -25,10 +25,12 @@ strength x time); negative gt runs the inverse.
 
 H conserves N, so the truncation to n <= dim - 1 is exact for amplitude on
 manifolds N <= dim - 1: ee's top two levels and eg's and ge's top one
-empty, gg never cut. ensure_headroom is the package's one check of it,
-and evolve_with hands a kernel only the occupied level prefix. Every
-step is elementwise, so each state of a stack evolves bit for bit as it
-does alone.
+empty, gg never cut. A state is evolved on the levels it holds, its
+width, which JointState.from_field makes the field's held levels plus
+the headroom their manifolds need, capped at the field's dim.
+ensure_headroom is the package's one check that the width suffices.
+Every step is elementwise, so each state of a stack evolves bit for bit
+as it does alone, and as it does at any larger width.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class JointState:
 
     branches may also be a (..., 4, dim) stack of states, e.g. (T, 4, dim)
     for one state at T times or (F, T, 4, dim) for F states at T times;
-    every row must be normalized.
+    every row must be normalized. dim is the number of levels held, the
+    truncation the evolution works in.
     """
 
     branches: np.ndarray
@@ -84,12 +87,19 @@ class JointState:
 
     @classmethod
     def from_field(cls, fields, qubits: str = "gg") -> "JointState":
-        """Product state |qubits> (x) |field>, or an (F, 4, dim) stack for F fields on one dim."""
+        """Product state |qubits> (x) |field>, or an (F, 4, size) stack for F fields on one dim.
+
+        size = min(held + QUBIT_EXC[k], dim), held the widest field's held
+        levels and k the label's slot: the top level n of slot k lies on
+        manifold n + QUBIT_EXC[k], whose highest level, gg's, is then held,
+        unless dim cuts it first and ensure_headroom decides.
+        """
         if qubits not in BASIS:
             raise ValueError(f"qubit label must be one of {BASIS}")
-        amps = _amplitude_stack(fields)
-        br = np.zeros((len(amps), 4, amps.shape[1]), dtype=complex)
-        br[:, BASIS.index(qubits)] = amps
+        amps, dim = _amplitude_stack(fields)
+        k = BASIS.index(qubits)
+        br = np.zeros((len(amps), 4, min(amps.shape[1] + QUBIT_EXC[k], dim)), dtype=complex)
+        br[:, k, :amps.shape[1]] = amps
         return cls(br[0] if isinstance(fields, FieldState) else br)
 
     def excitation_number(self):
@@ -157,20 +167,13 @@ def _h_action(branches: np.ndarray) -> np.ndarray:
     return out
 
 
-# the tables of a stack's dim and of its occupied prefix stay cached, shared read-only
-@lru_cache(maxsize=2)
+# the table of the last size stays cached, shared read-only
+@lru_cache(maxsize=1)
 def _slot_manifolds(dim: int) -> np.ndarray:
     """(4, dim) table of the manifold N = n + QUBIT_EXC[k] that slot (k, n) lies on."""
     manifold = np.arange(dim) + np.array(QUBIT_EXC)[:, None]
     manifold.flags.writeable = False
     return manifold
-
-
-def _occupied_prefix(branches: np.ndarray) -> int:
-    """Size of the level prefix 0..Nmax of a (..., 4, dim) stack, at most dim (see evolve_with)."""
-    dim = branches.shape[-1]
-    occupied = (branches != 0).reshape(-1, 4, dim).any(axis=0)
-    return min(int(_slot_manifolds(dim)[occupied].max(initial=0)) + 1, dim)
 
 
 def _coefficients(count: int, gts: np.ndarray):
@@ -194,19 +197,14 @@ def _apply_raw(branches: np.ndarray, gts: np.ndarray) -> np.ndarray:
 
 
 def evolve_with(kernel, state: JointState, gt) -> JointState:
-    """Run kernel(branches, gts) -> (F, T, 4, size) on a state or a stack, at a scalar gt or T times.
+    """Run kernel(branches, gts) -> (F, T, 4, dim) on a state or a stack, at a scalar gt or T times.
 
-    The (..., 4, dim) branches reach the kernel as an (F, 4, size) stack,
-    one state a stack of one. A 1-D vector of T times maps each state to
-    T rows, (..., T, 4, dim); a scalar runs as a batch of one and keeps
-    the input's shape. NaN or inf anywhere in gt raises, headroom is
-    checked on every input state and the norm on every output row.
-
-    size is the level prefix 0..Nmax, Nmax the highest manifold with an
-    exactly nonzero slot in the stack, and the output is zero-padded back
-    to dim: H conserves N, so every slot of a manifold <= Nmax lies in the
-    prefix and evolves there exactly as at dim. Tolerated amplitude past
-    the cut (Nmax > dim - 1) keeps all dim levels.
+    The (..., 4, dim) branches reach the kernel as they are, reshaped to
+    an (F, 4, dim) stack, one state a stack of one. A 1-D vector of T
+    times maps each state to T rows, (..., T, 4, dim); a scalar runs as a
+    batch of one and keeps the input's shape. NaN or inf anywhere in gt
+    raises, headroom is checked on every input state and the norm on
+    every output row.
     """
     gts = np.asarray(gt, dtype=float)
     if gts.ndim > 1:
@@ -215,12 +213,8 @@ def evolve_with(kernel, state: JointState, gt) -> JointState:
         raise ValueError("gt must be finite")
     br = state.branches
     ensure_headroom(br)
-    stack = br.reshape((-1,) + br.shape[-2:])
-    size = _occupied_prefix(stack)
-    out = np.zeros((len(stack), gts.size) + br.shape[-2:], dtype=complex)
-    out[..., :size] = kernel(stack[..., :size], gts.reshape(-1))
-    out = out.reshape(br.shape[:-2] + out.shape[1:])
-    return JointState(out[..., 0, :, :] if gts.ndim == 0 else out)
+    out = kernel(br.reshape((-1,) + br.shape[-2:]), gts.reshape(-1))
+    return JointState(out.reshape(br.shape[:-2] + gts.shape + br.shape[-2:]))
 
 
 def apply_propagator(state: JointState, gt) -> JointState:

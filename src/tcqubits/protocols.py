@@ -29,7 +29,7 @@ from .reduced import XStateElements, analytic_elements, assemble_density, partia
 
 WERNER_PERIOD = 2.0 * math.pi / math.sqrt(38.0)
 #: most lattice points werner_solve lists from gt0, two times each at most;
-#: verify holds 4 x dim complex values per time (1 kB at dim 16)
+#: verify holds 4 x 11 complex values per time (704 B), the field's held levels 0..10
 WERNER_MAX_LATTICE = 10_000
 #: 0..32, the sample indices of one _refine_peak grid
 _GRID = np.arange(33.0)

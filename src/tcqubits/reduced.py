@@ -151,7 +151,7 @@ def _support_terms(fields):
     or the tuple of fields, compared by identity, so a new field builds
     new terms.
     """
-    amps = _amplitude_stack(fields)
+    amps, _ = _amplitude_stack(fields)
     f, n = np.nonzero(amps)   # row-major: field after field, levels ascending
     c = amps[f, n]
     key = f * (amps.shape[1] + 2) + n   # sorted, and no two fields' levels lie within 2

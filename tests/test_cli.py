@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -454,6 +455,29 @@ def test_closed_stdout_exits_2_with_one_line(argv):
     assert proc.stderr == "error: cannot write to stdout: Bad file descriptor\n"
 
 
+def test_a_huge_dim_allocates_no_field_in_validate_or_scan():
+    # --dim bounds the levels, it does not allocate them: under a 512 MiB address-space
+    # limit on the child alone, dim 10^8 (1.49 GiB per dense field) prints what a small
+    # dim prints. One BLAS thread keeps the interpreter's reservation off the core count.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    limit = 512 << 20
+
+    def run(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tcqubits", *argv], env=env, capture_output=True, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        return proc.stdout
+
+    validate = ["validate", "--trials", "1"]
+    huge, small = run(*validate, "--dim", "100000000"), run(*validate, "--dim", "128")
+    assert huge == small.replace(" dim=128 ", " dim=100000000 ")
+    scan = ["scan", "--field", "bell1-m30", "--gt-max", "1", "--steps", "3"]
+    assert run(*scan, "--dim", "100000000") == run(*scan, "--dim", "40")
+
+
 def test_plan_bell2(capsys):
     code, out, _ = run_cli(["plan", "bell2", "--l", "1"], capsys)
     assert code == 0
@@ -762,7 +786,7 @@ def test_every_preset_is_listed_and_builds(monkeypatch, capsys):
         assert name in help_text and name in err, name
     for name in cli.PRESETS:
         fld, tgt = build_field(name, 48)
-        assert fld.amplitudes.size == 48, name
+        assert fld.dim == len(fld.to_json()["amplitudes"]) == 48, name
         if name == "vacuum":
             assert tgt is None
             continue

@@ -9,7 +9,7 @@ from tcqubits import FieldState, coherent_state, number_state, superpose
 
 def test_number_state_vacuum():
     s = number_state(0, 4)
-    assert np.array_equal(s.amplitudes, [1, 0, 0, 0])
+    assert np.array_equal(s.amplitudes, [1]) and s.dim == 4
 
 
 def test_number_state_single_photon():
@@ -116,7 +116,9 @@ def test_coherent_cats_within_the_tail_bound_build(alpha, dim, parity):
     poisson = np.exp(n * math.log(alpha) - 0.5 * np.array([math.lgamma(k + 1) for k in n]))
     poisson[(n % 2 == 0) if parity == "odd" else (n % 2 == 1)] = 0.0
     expected = poisson / np.linalg.norm(poisson)
-    assert np.max(np.abs(coherent_state(alpha, dim, parity=parity).amplitudes - expected)) < 1e-15
+    amps = coherent_state(alpha, dim, parity=parity).amplitudes   # up to the top nonzero level
+    assert np.max(np.abs(amps - expected[:amps.size])) < 1e-15
+    assert not expected[amps.size:].any()
 
 
 @pytest.mark.parametrize("alpha, dim, parity", [(30, 10, "any"), (40, 10, "even"), (2.0, 1, "odd")])
@@ -182,11 +184,24 @@ def test_constructors_handle_underflowing_inputs(scale):
 def test_field_json_encoding():
     s = superpose([(2, 1j), (5, -2.0)], dim=8)
     data = s.to_json()
-    assert data == {"dim": 8,
-                    "amplitudes": [[float(c.real), float(c.imag)] for c in s.amplitudes]}
+    assert s.amplitudes.size == 6   # levels 6 and 7 are zeros in the JSON alone
+    assert data == {"dim": 8, "amplitudes": [[float(c.real), float(c.imag)] for c in s.amplitudes]
+                    + [[0.0, 0.0]] * 2}
     assert data["amplitudes"][2] == [0.0, 1.0 / math.sqrt(5.0)]
     assert data["amplitudes"][5] == [-2.0 / math.sqrt(5.0), 0.0]
     assert all(type(x) is float for pair in data["amplitudes"] for x in pair)
+
+
+def test_a_field_holds_its_levels_up_to_the_top_nonzero_one_on_dim():
+    given = np.array([0.0, 1.0, 0.0, 0.0])
+    s = FieldState(given, dim=6)
+    assert np.array_equal(s.amplitudes, [0.0, 1.0]) and s.dim == 6
+    assert not s.amplitudes.flags.writeable and given.flags.writeable   # a copy, read-only
+    assert FieldState(given).dim == 4   # dim defaults to the vector's length
+    assert s.to_json() == {"dim": 6, "amplitudes": [[0.0, 0.0], [1.0, 0.0]] + [[0.0, 0.0]] * 4}
+    assert superpose([(2, 1.0)], 10**12).amplitudes.size == 3   # dim is a bound
+    with pytest.raises(ValueError, match="4 amplitudes exceed dim 3"):
+        FieldState(given, dim=3)
 
 
 def test_odd_projection_of_the_vacuum_leaves_nothing():

@@ -237,15 +237,15 @@ def test_nan_gt_anywhere_is_rejected(gts, data):
 
 
 def test_evolution_takes_an_empty_vector_and_rejects_a_matrix_of_times():
-    state = JointState.from_field(number_state(1, 8), "gg")
+    state = JointState.from_field(number_state(1, 8), "gg")   # levels 0..1 held
     for evolve in (apply_propagator, evolve_oracle):
-        assert evolve(state, np.array([])).branches.shape == (0, 4, 8)
+        assert evolve(state, np.array([])).branches.shape == (0, 4, 2)
         with pytest.raises(ValueError, match="1-D"):
             evolve(state, np.zeros((2, 2)))
         # a stack evolves row by row, each row as it evolves alone
         stack = evolve(state, np.array([0.1, 0.2])).branches
         again = evolve(JointState(stack), 0.3).branches
-        assert again.shape == (2, 4, 8)
+        assert again.shape == (2, 4, 2)
         for row, alone in zip(again, stack):
             assert row.tobytes() == evolve(JointState(alone), 0.3).branches.tobytes()
     rho = assemble_density(analytic_elements(number_state(1, 8), []))
@@ -255,7 +255,7 @@ def test_evolution_takes_an_empty_vector_and_rejects_a_matrix_of_times():
     assert rep.max_density_dev.shape == rep.max_joint_dev.shape == (0,)
 
 
-# --- evolve_with hands both kernels the occupied level prefix only -----------
+# --- both kernels evolve a state on the levels it holds ----------------------
 
 def top_reaching(label, dim, rng=RNG):
     """Random amplitudes on one branch, up to its highest uncut level dim - 1 - exc."""
@@ -284,9 +284,8 @@ def test_zero_padding_leaves_the_evolution_bit_identical(label, dim):
 def validate_field(dim=128, support=40, seed=1):
     """A random field on levels 0..support - 1, drawn the way `validate` draws its trials."""
     rng = np.random.default_rng(seed)
-    amps = np.zeros(dim, dtype=complex)
-    amps[:support] = rng.normal(size=support) + 1j * rng.normal(size=support)
-    return FieldState(amps / np.linalg.norm(amps))
+    amps = rng.normal(size=support) + 1j * rng.normal(size=support)
+    return FieldState(amps / np.linalg.norm(amps), dim)
 
 
 def recorded_abc(monkeypatch):
@@ -304,7 +303,7 @@ def recorded_abc(monkeypatch):
 
 def test_kernels_run_over_the_occupied_manifolds_only(monkeypatch):
     # the field holds manifolds 0..39 of the 130 that dim 128 has (0..dim + 1); both
-    # kernels run on its 40-level prefix, whose manifolds are 0..41
+    # kernels run on its 40 held levels, whose manifolds are 0..41
     joint = JointState.from_field(validate_field(), "gg")
     gts = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 8.673, 12.0])
     seen = recorded_abc(monkeypatch)
@@ -382,14 +381,16 @@ STACK_GTS = np.array(VALIDATE_GT_GRID)
 def test_stacked_evolution_rows_equal_one_state_calls_bit_for_bit(dim):
     fields = seeded_stack(dim, seed=dim)
     joint = JointState.from_field(fields, "gg")
-    assert joint.branches.shape == (len(fields), 4, dim)
+    assert joint.branches.shape == (len(fields), 4, dim)   # the widest field reaches dim - 1
     for evolve in (apply_propagator, evolve_oracle):
         for gt in (STACK_GTS, 0.7):
             stacked = evolve(joint, gt).branches
             assert stacked.shape == (len(fields),) + np.shape(gt) + (4, dim)
             for field, row in zip(fields, stacked):
                 alone = evolve(JointState.from_field(field, "gg"), gt).branches
-                assert same_bits(row, alone), (evolve.__name__, dim, gt)
+                size = field.amplitudes.size   # each row on its own width, zeros beyond
+                assert same_bits(row[..., :size], alone), (evolve.__name__, dim, gt)
+                assert not row[..., size:].any()
 
 
 @pytest.mark.parametrize("dim", [33, 64, 128])
@@ -411,7 +412,9 @@ def test_stacked_elements_and_deviations_equal_one_field_calls_bit_for_bit(dim):
 
 def full_dim_deviations(fields, gts):
     """compare_paths' deviations with both kernels and partial_trace run on all dim levels."""
-    br = JointState.from_field(fields, "gg").branches
+    held = JointState.from_field(fields, "gg").branches
+    br = np.zeros(held.shape[:-1] + (fields[0].dim,), dtype=complex)
+    br[..., :held.shape[-1]] = held
     closed, brute = propagator._apply_raw(br, gts), oracle._evolve_blocks(br, gts)
     rho = assemble_density(analytic_elements(fields, gts))
     density = np.max(np.abs(rho - partial_trace(JointState(brute))), axis=(-2, -1))
@@ -424,7 +427,7 @@ def test_deviations_on_the_occupied_prefix_equal_the_full_dim_ones_bit_for_bit(d
     mix = validate_mix(dim, seed=dim)
     top = superpose([(0, 1.0), (dim - 2, 0.5j), (dim - 1, -0.25)], dim)   # never trimmed
     for fields, size in ((mix, min(40, dim)), ([top], dim)):
-        assert propagator._occupied_prefix(JointState.from_field(fields).branches) == size
+        assert JointState.from_field(fields).dim == size
         rep = compare_paths(fields, STACK_GTS)
         density, joint = full_dim_deviations(fields, STACK_GTS)
         assert same_bits(rep.max_density_dev, density), (dim, size)
@@ -433,8 +436,11 @@ def test_deviations_on_the_occupied_prefix_equal_the_full_dim_ones_bit_for_bit(d
 
 @pytest.mark.parametrize("kernel", [propagator._apply_raw, oracle._evolve_blocks])
 def test_each_kernel_at_dim_2048_equals_its_prefix_evolution_zero_padded(kernel):
-    br = JointState.from_field(validate_mix(2048, seed=3), "gg").branches
+    held = JointState.from_field(validate_mix(2048, seed=3), "gg").branches
     size = 40   # Nmax = 39
+    assert held.shape[-1] == size
+    br = np.zeros(held.shape[:-1] + (2048,), dtype=complex)
+    br[..., :size] = held
     full = kernel(br, STACK_GTS)
     assert same_bits(full[..., :size], kernel(br[..., :size], STACK_GTS))
     assert not full[..., size:].any()

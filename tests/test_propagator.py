@@ -79,11 +79,15 @@ def test_gg_column_action_matches_matrix():
     state = JointState.from_field(fld, "gg")
     gt = 1.234
     out = apply_propagator(state, gt)
-    # dense exp(-i gt H); the support stops at n = 3, so n + 2 stays inside the truncation
+    # dense exp(-i gt H) on all 8 levels; the support stops at n = 3, so the state
+    # holds levels 0..3 and the evolution stays there
     evals, evecs = np.linalg.eigh(build_hamiltonian(8))
     mat = (evecs * np.exp(-1j * gt * evals)) @ evecs.T
-    expected = (mat @ state.branches.reshape(-1)).reshape(4, 8)
-    assert np.allclose(out.branches, expected, atol=1e-14)
+    full = np.zeros((4, 8), dtype=complex)
+    full[:, :4] = state.branches
+    expected = (mat @ full.reshape(-1)).reshape(4, 8)
+    assert np.allclose(out.branches, expected[:, :4], atol=1e-14)
+    assert np.allclose(expected[:, 4:], 0.0, atol=1e-14)
 
 
 def test_h_cubed_is_c_times_h_on_every_manifold():
@@ -223,6 +227,24 @@ def test_headroom_violation_raises():
     # their neighbours eg, ge at level 6 and gg at level 7 lie on manifold 7, inside it
     for label, level in ((EG, 6), (GE, 6), (GG, 7)):
         apply_propagator(cut_violation(label, level, 1e-6), 0.5)
+
+
+@pytest.mark.parametrize("label", BASIS)
+def test_from_field_holds_the_levels_the_evolution_reaches(label):
+    # slot (label, n) lies on manifold n + QUBIT_EXC, whose gg level is n + QUBIT_EXC;
+    # test_oracle's zero-padding test shows a wider run adds only zeros
+    exc = QUBIT_EXC[BASIS.index(label)]
+    joint = JointState.from_field(number_state(3, 8), label)
+    assert joint.dim == 4 + exc
+    assert JointState.from_field(number_state(6, 8), label).dim == min(7 + exc, 8)
+    apply_propagator(joint, 0.9)   # the held levels are enough headroom
+
+
+def test_a_field_too_high_for_its_label_still_leaks_past_the_cut():
+    joint = JointState.from_field(number_state(6, 8), "ee")   # manifold 8 at dim 8
+    for evolve in (apply_propagator, evolve_oracle):
+        with pytest.raises(HeadroomError):
+            evolve(joint, 0.5)
 
 
 def test_joint_state_shape_and_norm_checks():
