@@ -14,10 +14,9 @@ leaves an existing file untouched; an unwritable --out or stdout (a failed
 write or close, a full device, a reader that closed the pipe early, a
 closed descriptor 1) is a usage error too, and so is a --dim or --m too
 large to allocate. A field holds only its occupied levels, so --dim
-allocates nothing in validate or in scan of a preset or an explicit
-superposition; what still allocates by --dim is plan's JSON field, padded
-to dim levels, and an even-coherent recipe, built on all dim levels. Where
-the OS overcommits memory, such a run can be killed instead of exiting 2.
+allocates nothing in scan or validate; what still allocates by --dim is
+plan's JSON field, padded to dim levels. Where the OS overcommits memory,
+such a run can be killed instead of exiting 2.
 Exit codes: 0 success, 1 verification/validation failure, 2 usage error.
 Identical invocations (flags + seed) produce byte-identical output.
 """
@@ -45,9 +44,8 @@ from .reduced import analytic_elements, assemble_density, density_to_json
 from .protocols import bell1_plan, bell2_plan, linspace_at, verify_plan, werner_solve
 
 VALIDATE_GT_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 8.673, 12.0)
-#: validate's cap on F * T * 4 * dim complex entries (4 MiB) per compare_paths call, which bounds
-#: the (F, T, 4, width) stacks it holds, width <= dim the fields' held levels; one field alone
-#: may exceed it
+#: validate's cap on the F * T * 4 * width complex entries (4 MiB) of the (F, T, 4, width)
+#: stacks each compare_paths call holds, width the widest field's held levels
 VALIDATE_STACK_ENTRIES = 2 ** 18
 #: scan rows evaluated (and, for CSV, written) per batched kernel call
 SCAN_CHUNK = 256
@@ -244,9 +242,12 @@ def cmd_plan(args) -> int:
             plan = werner_solve(args.v_plus, args.w, gt_max=args.gt_max)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    try:   # the JSON field lists all dim levels
+        payload = plan.to_json()
+    except (OverflowError, MemoryError):
+        raise UsageError(f"--dim {plan.field.dim} is too large to write out") from None
 
     report = verify_plan(plan, tolerance=args.tol)
-    payload = plan.to_json()
     payload["verification"] = report.to_json()
     with _output(args.out) as out:
         out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -275,7 +276,8 @@ def cmd_validate(args) -> int:
     # the trials, then the presets, compared a bounded stack at a time; the
     # worst (density, joint) deviations of all trials go to row 0, a preset's to its own row
     fields = chain((random_field() for _ in range(args.trials)), presets.values())
-    batch = max(1, VALIDATE_STACK_ENTRIES // (gts.size * 4 * dim))
+    width = max(support, *(f.amplitudes.size for f in presets.values()))
+    batch = VALIDATE_STACK_ENTRIES // (gts.size * 4 * width)
     worst = np.zeros((1 + len(presets), 2))
     for start in range(0, args.trials + len(presets), batch):
         rep = compare_paths(islice(fields, batch), gts)

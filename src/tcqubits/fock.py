@@ -60,8 +60,8 @@ class FieldState:
 
     def to_json(self) -> dict:
         """dim and all dim amplitudes, the levels above the held ones as zeros."""
-        padded = np.concatenate((self.amplitudes, np.zeros(self.dim - self.amplitudes.size)))
-        return {"dim": self.dim, "amplitudes": _json_complex(padded)}
+        zeros = [[0.0, 0.0]] * (self.dim - self.amplitudes.size)   # one shared pair
+        return {"dim": self.dim, "amplitudes": _json_complex(self.amplitudes) + zeros}
 
 
 def _amplitude_stack(fields) -> tuple[np.ndarray, int]:
@@ -143,20 +143,22 @@ def coherent_state(alpha: complex, dim: int, parity: str = "any") -> FieldState:
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    n = np.arange(dim)
     try:
         a2 = abs(alpha) ** 2
     except OverflowError:
         raise ValueError(f"|alpha|^2 overflows at |alpha| = {abs(alpha):.3g}") from None
+    # for n >= e^2 |a|^2, |a|^{2n} / n! <= e^{-n} and |c_n| <= e^{-n/2}, which is exactly 0.0
+    # once n >= 1500 too: no level above max(e^2 |a|^2, 1500) is computed (e^2 |a|^2 may be inf)
+    n = np.arange(min(dim, max(math.ceil(min(math.e ** 2 * a2, dim)), 1500) + 1))
     small = abs(alpha) < _SQUARES_NORMAL   # |alpha|^2 is subnormal or 0
     if alpha == 0:
-        amp = np.zeros(dim, dtype=complex)
+        amp = np.zeros(n.size, dtype=complex)
         amp[0] = 1.0
     else:
         # log-space weights; |c_n|^2 = e^{-|a|^2} |a|^{2n} / n!
         log_a2 = 2.0 * math.log(abs(alpha)) if small else math.log(a2)
         logw = -0.5 * a2 + 0.5 * (n * log_a2
-                                  - np.array([math.lgamma(k + 1) for k in range(dim)]))
+                                  - np.array([math.lgamma(k + 1) for k in range(n.size)]))
         phase = np.exp(1j * n * np.angle(alpha))
         amp = np.exp(logw) * phase
     series = 1.0   # the squared norm of the untruncated (projected) series

@@ -36,7 +36,6 @@ as it does alone, and as it does at any larger width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -167,13 +166,9 @@ def _h_action(branches: np.ndarray) -> np.ndarray:
     return out
 
 
-# the table of the last size stays cached, shared read-only
-@lru_cache(maxsize=1)
 def _slot_manifolds(dim: int) -> np.ndarray:
     """(4, dim) table of the manifold N = n + QUBIT_EXC[k] that slot (k, n) lies on."""
-    manifold = np.arange(dim) + np.array(QUBIT_EXC)[:, None]
-    manifold.flags.writeable = False
-    return manifold
+    return np.arange(dim) + np.array(QUBIT_EXC)[:, None]
 
 
 def _coefficients(count: int, gts: np.ndarray):

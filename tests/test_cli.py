@@ -386,7 +386,8 @@ def test_failed_write_or_close_on_out_exits_2(command, failing, monkeypatch, cap
     ["plan", "bell2", "--tol", "nan"],
     ["validate", "--trials", "0"],
     ["validate", "--dim", "40", "--trials", "1", "--seed", "-1"],
-], ids=["scan-field", "plan-tol", "validate-trials", "validate-seed"])
+    ["plan", "bell1", "--m", "30", "--dim", str(10**30)],
+], ids=["scan-field", "plan-tol", "validate-trials", "validate-seed", "plan-dim"])
 def test_usage_error_leaves_an_existing_out_untouched(argv, tmp_path, capsys):
     path = tmp_path / "kept.txt"
     path.write_bytes(b"earlier output\n")
@@ -476,6 +477,8 @@ def test_a_huge_dim_allocates_no_field_in_validate_or_scan():
     assert huge == small.replace(" dim=128 ", " dim=100000000 ")
     scan = ["scan", "--field", "bell1-m30", "--gt-max", "1", "--steps", "3"]
     assert run(*scan, "--dim", "100000000") == run(*scan, "--dim", "40")
+    cat = ["scan", "--field", "even-coherent:2", "--gt-max", "1", "--steps", "3"]
+    assert run(*cat, "--dim", "100000000") == run(*cat, "--dim", "64")
 
 
 def test_plan_bell2(capsys):
@@ -683,40 +686,45 @@ def test_validate_dim_2048_in_process(capsys):
 
 
 def recorded_stacks(monkeypatch):
-    """Monkeypatch cli.compare_paths to record how many fields each call stacks."""
-    sizes = []
+    """Monkeypatch cli.compare_paths to record the fields each call stacks."""
+    stacks = []
     compare = cli.compare_paths
 
     def recording(fields, gt):
         fields = list(fields)
-        sizes.append(len(fields))
+        stacks.append(fields)
         return compare(fields, gt)
 
     monkeypatch.setattr(cli, "compare_paths", recording)
-    return sizes
+    return stacks
 
 
 def test_validate_keeps_every_stack_under_the_entry_cap(monkeypatch, capsys):
-    sizes = recorded_stacks(monkeypatch)
-    code, out, _ = run_cli(["validate", "--dim", "2048", "--trials", "50"], capsys)
-    assert code == 0 and "PASS" in out
-    entries = len(cli.VALIDATE_GT_GRID) * 4 * 2048   # of one field's (T, 4, dim) rows
-    assert sum(sizes) == 50 + 3
-    assert all(n * entries <= cli.VALIDATE_STACK_ENTRIES for n in sizes)
-    assert sizes == [4] * 13 + [1]
+    # a stack holds (F, T, 4, width) entries, width its widest field's held levels
+    # (40 random ones here), so dim sizes no stack
+    stacks = recorded_stacks(monkeypatch)
+    for trials, sizes in ((50, [53]), (600, [234, 234, 135])):
+        stacks.clear()
+        code, out, _ = run_cli(["validate", "--dim", "2048", "--trials", str(trials)], capsys)
+        assert code == 0 and "PASS" in out
+        assert [len(fields) for fields in stacks] == sizes
+        for fields in stacks:
+            width = max(f.amplitudes.size for f in fields)
+            entries = len(fields) * len(cli.VALIDATE_GT_GRID) * 4 * width
+            assert entries <= cli.VALIDATE_STACK_ENTRIES
 
 
 @pytest.mark.parametrize("dim, trials", [(64, 100), (33, 1), (128, 1), (1200, 2)])
 def test_validate_compares_trials_and_presets_in_one_call(dim, trials, monkeypatch, capsys):
     # the README and CI commands and the benchmark's: one stack each, and no
     # fidelity target built, since validate compares the two routes only
-    sizes = recorded_stacks(monkeypatch)
+    stacks = recorded_stacks(monkeypatch)
     targets = []
     made = TargetState.__post_init__
     monkeypatch.setattr(TargetState, "__post_init__", lambda t: targets.append(t) or made(t))
     code, out, _ = run_cli(["validate", "--dim", str(dim), "--trials", str(trials)], capsys)
     assert code == 0 and "PASS" in out
-    assert sizes == [trials + 3]
+    assert [len(fields) for fields in stacks] == [trials + 3]
     assert targets == []
 
 

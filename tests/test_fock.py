@@ -110,13 +110,20 @@ def test_coherent_tail_is_measured_on_the_projected_state(alpha, dim, parity):
 
 
 @pytest.mark.parametrize("alpha, dim, parity", [
-    (0.05, 4, "odd"), (3.0, 64, "even"), (5.0, 128, "even"), (7.0, 192, "even")])
+    (0.05, 4, "odd"), (3.0, 64, "even"), (5.0, 128, "even"), (7.0, 192, "even"),
+    (7.0, 4096, "even"), (15.0, 4096, "even"), (7.0, 10**8, "even")])
 def test_coherent_cats_within_the_tail_bound_build(alpha, dim, parity):
-    n = np.arange(dim)
-    poisson = np.exp(n * math.log(alpha) - 0.5 * np.array([math.lgamma(k + 1) for k in n]))
+    # the expected series on at most 4096 levels: it falls from n = alpha^2 on, so where
+    # level 4095 lies past alpha^2 and far below exp's underflow, every level above is 0.0
+    n = np.arange(min(dim, 4096))
+    log_c = n * math.log(alpha) - 0.5 * np.array([math.lgamma(k + 1) for k in n])
+    assert n.size == dim or (n.size > alpha ** 2 and log_c[-1] < -800)
+    poisson = np.exp(log_c)
     poisson[(n % 2 == 0) if parity == "odd" else (n % 2 == 1)] = 0.0
     expected = poisson / np.linalg.norm(poisson)
-    amps = coherent_state(alpha, dim, parity=parity).amplitudes   # up to the top nonzero level
+    field = coherent_state(alpha, dim, parity=parity)
+    amps = field.amplitudes   # up to the top nonzero level
+    assert field.dim == dim
     assert np.max(np.abs(amps - expected[:amps.size])) < 1e-15
     assert not expected[amps.size:].any()
 
