@@ -9,7 +9,7 @@ recipes that prepare Bell and Werner states of the pair.
 from .fock import FieldState, coherent_state, number_state, superpose
 from .propagator import BASIS, HeadroomError, JointState, abc, apply_propagator
 from .reduced import (XStateElements, analytic_elements, assemble_density, check_density,
-                      density_to_json, is_x_type, partial_trace)
+                      is_x_type, partial_trace)
 from .entanglement import (TargetState, concurrence, concurrence_wootters, concurrence_x_state,
                            fidelity, singlet_vector, target)
 from .oracle import PathComparison, build_hamiltonian, compare_paths, evolve_oracle
@@ -24,7 +24,7 @@ __all__ = [
     "FieldState", "coherent_state", "number_state", "superpose",
     "BASIS", "HeadroomError", "JointState", "abc", "apply_propagator",
     "XStateElements", "analytic_elements", "assemble_density", "check_density",
-    "density_to_json", "is_x_type", "partial_trace",
+    "is_x_type", "partial_trace",
     "TargetState", "concurrence", "concurrence_wootters", "concurrence_x_state", "fidelity",
     "singlet_vector", "target",
     "PathComparison", "build_hamiltonian", "compare_paths", "evolve_oracle",

@@ -9,6 +9,9 @@ plan      plan one of the three protocols, verify it end to end, and
 validate  cross-check the closed-form route against the brute-force
           route on random fields and the protocol presets
 
+The JSON report schema lives here alone: cmd_plan and cmd_scan lay out
+their payloads from the package's objects, which write no JSON.
+
 Each command checks every input before it opens --out, so a usage error
 leaves an existing file untouched; an unwritable --out or stdout (a failed
 write or close, a full device, a reader that closed the pipe early, a
@@ -39,8 +42,8 @@ import numpy as np
 from .entanglement import TargetState, concurrence, fidelity, target
 from .fock import FieldState, coherent_state, number_state, superpose
 from .oracle import compare_paths
-from .propagator import abc
-from .reduced import analytic_elements, assemble_density, density_to_json
+from .propagator import BASIS, abc
+from .reduced import analytic_elements, assemble_density
 from .protocols import bell1_plan, bell2_plan, linspace_at, verify_plan, werner_solve
 
 VALIDATE_GT_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 8.673, 12.0)
@@ -133,6 +136,12 @@ def _fmt(x: float) -> str:
     return FLOAT_FORMAT % x
 
 
+def _re_im(values) -> list:
+    """JSON form of a complex scalar or array: [re, im], nested like the array."""
+    arr = np.asarray(values, dtype=complex)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+
 @contextmanager
 def _output(path: str):
     """Where a command writes: stdout for '-', else the file, opened only now.
@@ -218,7 +227,7 @@ def cmd_scan(args) -> int:
                 for i, values in enumerate(table):
                     row = dict(zip(cols, values))
                     if "density" in outputs:
-                        row["density"] = density_to_json(rho[i])
+                        row["density"] = {"basis": list(BASIS), "matrix": _re_im(rho[i])}
                     rows.append(row)
             else:
                 if start == 0:
@@ -242,13 +251,24 @@ def cmd_plan(args) -> int:
             plan = werner_solve(args.v_plus, args.w, gt_max=args.gt_max)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    try:   # the JSON field lists all dim levels
-        payload = plan.to_json()
+    fld, pred = plan.field, plan.predicted
+    try:   # the JSON field lists all dim levels, one shared zero pair above the held ones
+        amplitudes = _re_im(fld.amplitudes) + [[0.0, 0.0]] * (fld.dim - fld.amplitudes.size)
     except (OverflowError, MemoryError):
-        raise UsageError(f"--dim {plan.field.dim} is too large to write out") from None
+        raise UsageError(f"--dim {fld.dim} is too large to write out") from None
 
     report = verify_plan(plan, tolerance=args.tol)
-    payload["verification"] = report.to_json()
+    # the report's fields under their own names, gt_values as "gt"; None and an empty per_time drop
+    verification = {"gt" if name == "gt_values" else name: value
+                    for name, value in vars(report).items() if value is not None and value != ()}
+    payload = {
+        "protocol": args.protocol, "params": plan.params, "gt": list(report.gt_values),
+        "field": {"dim": fld.dim, "amplitudes": amplitudes},
+        "predicted": {"v_plus": pred.v_plus, "v_minus": pred.v_minus, "w": pred.w, "p": pred.w,
+                      "h_plus": _re_im(pred.h_plus), "h_minus": _re_im(pred.h_minus),
+                      "mu": _re_im(pred.mu)},
+        "verification": verification,
+    }
     with _output(args.out) as out:
         out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0 if report.passed else 1

@@ -26,12 +26,6 @@ NORM_TOL = 1e-12
 _SQUARES_NORMAL = math.sqrt(np.finfo(float).tiny)
 
 
-def _json_complex(values):
-    """JSON form of a complex scalar or array: [re, im], nested like the array."""
-    arr = np.asarray(values, dtype=complex)
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
-
-
 @dataclass(frozen=True, eq=False)  # holds an array: == is identity, hash is by id
 class FieldState:
     """Immutable field state on dim levels: amplitudes[n] is the coefficient of |n>.
@@ -57,11 +51,6 @@ class FieldState:
         held = amp[:np.flatnonzero(amp)[-1] + 1].copy()
         held.flags.writeable = False
         object.__setattr__(self, "amplitudes", held)
-
-    def to_json(self) -> dict:
-        """dim and all dim amplitudes, the levels above the held ones as zeros."""
-        zeros = [[0.0, 0.0]] * (self.dim - self.amplitudes.size)   # one shared pair
-        return {"dim": self.dim, "amplitudes": _json_complex(self.amplitudes) + zeros}
 
 
 def _amplitude_stack(fields) -> tuple[np.ndarray, int]:

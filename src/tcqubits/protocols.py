@@ -16,7 +16,7 @@ own default tolerance; verify_plan is the entry point that calls it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, fields
+from dataclasses import dataclass, field as dataclass_field
 from functools import partial
 from typing import ClassVar
 
@@ -148,9 +148,9 @@ class Bell1Plan:
     def target(self) -> TargetState:   # the Bell state at this plan's phi
         return target("bell1", phi=self.phi)
 
-    def to_json(self) -> dict:
-        params = {"m": self.m, "phi": self.phi, "purity_factor": self.purity_factor}
-        return _plan_json("bell1", params, self.field, [self.gt1], self.predicted)
+    @property
+    def params(self) -> dict:   # the recipe parameters the plan report lists
+        return {"m": self.m, "phi": self.phi, "purity_factor": self.purity_factor}
 
     def verify(self, tolerance: float | None = None) -> VerificationReport:
         """Refine gt1 to the concurrence peak nearby, then compare with the Bell state there.
@@ -321,16 +321,11 @@ def bell1_negative_branch_roots(ms=None) -> tuple[NegativeBranchRoot, ...]:
 # second-class Bell protocol
 
 
-#: the Bell state's own elements, the prediction every Bell2Plan shares
-_BELL2_PREDICTED = XStateElements(v_plus=0.0, v_minus=0.0, w=0.5,
-                                  h_plus=0.0, h_minus=0.0, mu=0.0)
-
-
 @dataclass(frozen=True)
 class Bell2Plan:
     """Recipe for the (|eg> + |ge>)/sqrt(2) state from the |1> field.
 
-    The JSON param unique_m = 1 records why the single-photon field is the
+    The param unique_m = 1 records why the single-photon field is the
     only number state that works: the central element peaks at m/(4m-2),
     which reaches 1/2 only for m = 1.
     """
@@ -338,16 +333,18 @@ class Bell2Plan:
     l: int
     gt2: float
     field: FieldState
-    predicted: XStateElements
 
     #: the Bell state every plan promises, built once by the module's target()
     target: ClassVar[TargetState] = target("bell2")
+    #: the Bell state's own elements, the same for every l
+    predicted: ClassVar[XStateElements] = XStateElements(v_plus=0.0, v_minus=0.0, w=0.5,
+                                                         h_plus=0.0, h_minus=0.0, mu=0.0)
     #: passes on max element deviation from the Bell state: the preparation is exact
     TOLERANCE: ClassVar[float] = 1e-9
 
-    def to_json(self) -> dict:
-        params = {"l": self.l, "unique_m": 1}
-        return _plan_json("bell2", params, self.field, [self.gt2], self.predicted)
+    @property
+    def params(self) -> dict:   # the recipe parameters the plan report lists
+        return {"l": self.l, "unique_m": 1}
 
     def verify(self, tolerance: float | None = None) -> VerificationReport:
         tol = self.TOLERANCE if tolerance is None else tolerance
@@ -372,7 +369,7 @@ def bell2_plan(l: int, dim: int = 8) -> Bell2Plan:
         gt2 = math.inf
     if not math.isfinite(gt2):
         raise ValueError("l is too large: gt2 = l*pi/(2*sqrt(2)) is not a finite float")
-    return Bell2Plan(l=l, gt2=gt2, field=number_state(1, dim), predicted=_BELL2_PREDICTED)
+    return Bell2Plan(l=l, gt2=gt2, field=number_state(1, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +380,7 @@ def bell2_plan(l: int, dim: int = 8) -> Bell2Plan:
 class WernerPlan:
     """Recipe for the eta = 1 Werner state from a |0>, |10> field.
 
-    The JSON param degenerate is c10_sq == 0.0, which holds only for the
+    The param degenerate is c10_sq == 0.0, which holds only for the
     (0, 0) target: elsewhere |c10|^2 >= min(v_plus, w) > 0.
     """
 
@@ -399,10 +396,10 @@ class WernerPlan:
     #: passes on the worst max element deviation over the solution times
     TOLERANCE: ClassVar[float] = 2e-3
 
-    def to_json(self) -> dict:
-        params = {"c0_sq": self.c0_sq, "c10_sq": self.c10_sq, "period": self.period,
-                  "degenerate": self.c10_sq == 0.0}
-        return _plan_json("werner", params, self.field, self.times, self.predicted)
+    @property
+    def params(self) -> dict:   # the recipe parameters the plan report lists
+        return {"c0_sq": self.c0_sq, "c10_sq": self.c10_sq, "period": self.period,
+                "degenerate": self.c10_sq == 0.0}
 
     def verify(self, tolerance: float | None = None) -> VerificationReport:
         """Compare every solution time with the eta = 1 Werner matrix."""
@@ -476,7 +473,7 @@ def werner_solve(target_vplus: float, target_w: float, gt_max: float = 2.2,
 
 
 # ---------------------------------------------------------------------------
-# plan JSON and end-to-end verification
+# end-to-end verification
 
 
 @dataclass(frozen=True)
@@ -491,12 +488,6 @@ class VerificationReport:
     gt_peak: float | None = None
     prediction_dev: float | None = None
     per_time: tuple = dataclass_field(default_factory=tuple)
-
-    def to_json(self) -> dict:
-        """Every field under its own name, gt_values as "gt"; None and an empty per_time drop."""
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return {"gt" if name == "gt_values" else name: value
-                for name, value in values if value is not None and value != ()}
 
 
 def _concurrence_at(fld: FieldState, gts: np.ndarray) -> np.ndarray:
@@ -518,12 +509,6 @@ def _measure(fld: FieldState, times, tgt: TargetState):
     rho = partial_trace(apply_propagator(JointState.from_field(fld, "gg"), times))
     devs = np.max(np.abs(rho - tgt.matrix), axis=(-2, -1))
     return rho, devs.tolist(), fidelity(rho, tgt).tolist(), concurrence(rho).tolist()
-
-
-def _plan_json(protocol: str, params: dict, fld: FieldState, gt,
-               predicted: XStateElements) -> dict:
-    return {"protocol": protocol, "params": params, "field": fld.to_json(),
-            "gt": list(gt), "predicted": predicted.to_json()}
 
 
 def verify_plan(plan, tolerance: float | None = None) -> VerificationReport:

@@ -37,8 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import FieldState, _amplitude_stack, _json_complex
-from .propagator import BASIS, JointState, abc
+from .fock import FieldState, _amplitude_stack
+from .propagator import JointState, abc
 
 DENSITY_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
@@ -86,19 +86,6 @@ class XStateElements:
             k = np.argwhere(outside)[0]
             name = ("v_plus", "v_minus", "w")[k[0]]
             raise ValueError(f"{name} = {pops[tuple(k)]} outside [0, 1]")
-
-    def to_json(self) -> dict:
-        """Floats and [re, im] pairs, nested lists like the arrays of a batch."""
-        v_plus, v_minus, w = (np.asarray(x).tolist() for x in (self.v_plus, self.v_minus, self.w))
-        return {
-            "v_plus": v_plus,
-            "v_minus": v_minus,
-            "w": w,
-            "p": w,
-            "h_plus": _json_complex(self.h_plus),
-            "h_minus": _json_complex(self.h_minus),
-            "mu": _json_complex(self.mu),
-        }
 
 
 def analytic_elements(fields, gt) -> XStateElements:
@@ -236,7 +223,3 @@ def check_density(rho: np.ndarray) -> None:
         raise ValueError("density matrix trace differs from 1")
     if np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) < EIGENVALUE_FLOOR:
         raise ValueError("density matrix has an eigenvalue below the positivity floor")
-
-
-def density_to_json(rho: np.ndarray) -> dict:
-    return {"basis": list(BASIS), "matrix": _json_complex(rho)}

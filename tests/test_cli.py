@@ -13,8 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tcqubits import (analytic_elements, assemble_density, concurrence, density_to_json,
-                      fidelity, target)
+from tcqubits import analytic_elements, assemble_density, concurrence, fidelity, target
 from tcqubits import FieldState, TargetState, cli, superpose
 from tcqubits.cli import SCAN_CHUNK, build_field, main, parse_phase
 
@@ -154,7 +153,9 @@ def test_scan_json_rows_across_chunks_match_scalar_calls(capsys):
     assert len(rows) == steps
     for gt, row in zip(np.linspace(0.0, 6.0, steps), rows):
         rho = assemble_density(analytic_elements(fld, float(gt)))
-        assert row == {"gt": gt, "concurrence": concurrence(rho), "density": density_to_json(rho)}
+        density = {"basis": ["ee", "eg", "ge", "gg"],
+                   "matrix": [[[v.real, v.imag] for v in matrix_row] for matrix_row in rho]}
+        assert row == {"gt": gt, "concurrence": concurrence(rho), "density": density}
 
 
 def test_scan_canonical_header_with_fidelity(capsys):
@@ -794,7 +795,7 @@ def test_every_preset_is_listed_and_builds(monkeypatch, capsys):
         assert name in help_text and name in err, name
     for name in cli.PRESETS:
         fld, tgt = build_field(name, 48)
-        assert fld.dim == len(fld.to_json()["amplitudes"]) == 48, name
+        assert fld.dim == 48 >= fld.amplitudes.size, name   # plan's JSON pads to dim levels
         if name == "vacuum":
             assert tgt is None
             continue

@@ -1,10 +1,12 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
-from tcqubits import FieldState, coherent_state, number_state, superpose
+from tcqubits import FieldState, bell1_plan, coherent_state, number_state, superpose
+from tcqubits.cli import main
 
 
 def test_number_state_vacuum():
@@ -188,14 +190,17 @@ def test_constructors_handle_underflowing_inputs(scale):
     assert np.array_equal(tiny.amplitudes, superpose([(1, 1.0), (3, 1j)], dim=8).amplitudes)
 
 
-def test_field_json_encoding():
-    s = superpose([(2, 1j), (5, -2.0)], dim=8)
-    data = s.to_json()
-    assert s.amplitudes.size == 6   # levels 6 and 7 are zeros in the JSON alone
+def test_field_json_encoding(capsys):
+    # plan's JSON report writes its field on all dim levels
+    assert main(["plan", "bell1", "--m", "2", "--phi", "pi/2", "--dim", "8"]) in (0, 1)
+    data = json.loads(capsys.readouterr().out)["field"]
+    s = bell1_plan(2, math.pi / 2, dim=8).field
+    assert s.amplitudes.size == 5   # levels 5..7 are zeros in the JSON alone
     assert data == {"dim": 8, "amplitudes": [[float(c.real), float(c.imag)] for c in s.amplitudes]
-                    + [[0.0, 0.0]] * 2}
-    assert data["amplitudes"][2] == [0.0, 1.0 / math.sqrt(5.0)]
-    assert data["amplitudes"][5] == [-2.0 / math.sqrt(5.0), 0.0]
+                    + [[0.0, 0.0]] * 3}
+    assert data["amplitudes"][2] == [s.amplitudes[2].real, 0.0]
+    assert data["amplitudes"][2][0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+    assert data["amplitudes"][4] == pytest.approx([0.0, 1.0 / math.sqrt(2.0)], abs=1e-15)
     assert all(type(x) is float for pair in data["amplitudes"] for x in pair)
 
 
@@ -205,10 +210,12 @@ def test_a_field_holds_its_levels_up_to_the_top_nonzero_one_on_dim():
     assert np.array_equal(s.amplitudes, [0.0, 1.0]) and s.dim == 6
     assert not s.amplitudes.flags.writeable and given.flags.writeable   # a copy, read-only
     assert FieldState(given).dim == 4   # dim defaults to the vector's length
-    assert s.to_json() == {"dim": 6, "amplitudes": [[0.0, 0.0], [1.0, 0.0]] + [[0.0, 0.0]] * 4}
     assert superpose([(2, 1.0)], 10**12).amplitudes.size == 3   # dim is a bound
     with pytest.raises(ValueError, match="4 amplitudes exceed dim 3"):
         FieldState(given, dim=3)
+    for not_a_vector in (np.eye(2), np.zeros(0)):
+        with pytest.raises(ValueError, match="amplitudes must be a nonempty 1-D vector"):
+            FieldState(not_a_vector)
 
 
 def test_odd_projection_of_the_vacuum_leaves_nothing():

@@ -256,6 +256,8 @@ def test_joint_state_shape_and_norm_checks():
     nan_branches[GG, 0] = np.nan
     with pytest.raises(ValueError, match="normalized"):
         JointState(nan_branches)
+    with pytest.raises(ValueError, match="qubit label must be one of"):
+        JointState.from_field(number_state(1, 8), "xx")
 
 
 def test_basis_order():

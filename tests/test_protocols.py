@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from functools import partial
@@ -11,7 +12,7 @@ from tcqubits import (JointState, abc, analytic_elements, apply_propagator, asse
                       number_state, partial_trace, singlet_vector, superpose, target,
                       verify_plan, werner_forward_elements, werner_solve)
 from tcqubits import protocols
-from tcqubits.cli import SCAN_CHUNK
+from tcqubits.cli import SCAN_CHUNK, main
 from tcqubits.protocols import (NEGATIVE_BRANCH_REFERENCE_SEEDS, WERNER_MAX_LATTICE,
                                 WERNER_PERIOD, _concurrence_at, _refine_peak, golden_section_max,
                                 linspace_at, negative_branch_curve, negative_branch_residuals)
@@ -341,20 +342,37 @@ def test_bell1_fidelity_at_nominal_time():
     assert fidelity(rho, target("bell1", phi=math.pi)) >= 0.999
 
 
-def test_bell1_plan_json():
+def plan_report(argv, capsys) -> dict:
+    assert main(["plan", *argv]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def field_json(fld) -> dict:
+    """plan's JSON field: [re, im] of each held level, zeros up to dim."""
+    held = [[float(c.real), float(c.imag)] for c in fld.amplitudes]
+    return {"dim": fld.dim, "amplitudes": held + [[0.0, 0.0]] * (fld.dim - len(held))}
+
+
+def test_bell1_plan_json(capsys):
     plan = bell1_plan(30, math.pi)
-    data = plan.to_json()
+    data = plan_report(["bell1", "--m", "30", "--phi", "pi"], capsys)
     assert data["protocol"] == "bell1"
     assert data["params"] == {"m": 30, "phi": math.pi, "purity_factor": plan.purity_factor}
     assert data["gt"] == [plan.gt1]
     assert data["gt"][0] == pytest.approx(8.6738, abs=1e-3)
-    assert data["field"] == plan.field.to_json()
+    assert data["field"] == field_json(plan.field)
     assert data["field"]["dim"] == 35
     mu = plan.predicted.mu
     assert data["predicted"] == {
         "v_plus": plan.predicted.v_plus, "v_minus": plan.predicted.v_minus,
         "w": 0.0, "p": 0.0, "h_plus": [0.0, 0.0], "h_minus": [0.0, 0.0],
         "mu": [mu.real, mu.imag]}
+    # the report's fields, gt_values as "gt", and an empty per_time left out
+    report = plan.verify()
+    assert data["verification"] == {
+        "protocol": "bell1", "gt": [plan.gt1], "max_element_dev": report.max_element_dev,
+        "fidelity": report.fidelity, "concurrence": report.concurrence, "tolerance": 1e-3,
+        "passed": True, "gt_peak": report.gt_peak, "prediction_dev": report.prediction_dev}
 
 
 # --- negative branch --------------------------------------------------------
@@ -440,9 +458,10 @@ def test_bell2_rejects_an_l_whose_time_is_not_a_finite_float(l):
         bell2_plan(l)
 
 
-def test_bell2_records_uniqueness():
+def test_bell2_records_uniqueness(capsys):
     plan = bell2_plan(1)
-    assert plan.to_json()["params"]["unique_m"] == 1
+    assert plan.params["unique_m"] == 1
+    assert plan_report(["bell2"], capsys)["params"] == {"l": 1, "unique_m": 1}
     assert plan.predicted.w == 0.5
     # m/(4m-2) >= 1/2 forces m <= 1 among positive integers
     assert all(m / (4 * m - 2) < 0.5 for m in range(2, 30))
@@ -503,11 +522,11 @@ def test_werner_solve_residuals():
 
 def test_werner_solve_degenerate_targets():
     plan = werner_solve(0.0, 0.0)
-    assert plan.to_json()["params"]["degenerate"] is True
+    assert plan.params["degenerate"] is True
     assert plan.times == (0.0,)
     # every other target needs |c10|^2 >= min(v_plus, w) > 0
     for targets in ((1e-300, 1e-300), (1e-12, 0.0), (0.2, 1e-9), (360 / 361, 0.0)):
-        assert werner_solve(*targets).to_json()["params"]["degenerate"] is False
+        assert werner_solve(*targets).params["degenerate"] is False
 
 
 def test_werner_solve_infeasible_box():
@@ -647,16 +666,22 @@ def test_verify_werner_rows_equal_scalar_pipeline_calls(targets):
     assert (report.fidelity, report.concurrence) == report.per_time[-1][2:]
 
 
-def test_werner_plan_json():
+def test_werner_plan_json(capsys):
     plan = werner_solve(1 / 3, 1 / 6)
-    data = plan.to_json()
+    data = plan_report(["werner"], capsys)
     assert data["protocol"] == "werner"
     assert data["params"] == {"c0_sq": plan.c0_sq, "c10_sq": plan.c10_sq,
                               "period": plan.period, "degenerate": False}
     assert data["params"]["c0_sq"] == pytest.approx(37 / 135, abs=1e-9)
     assert data["gt"] == list(plan.times) and len(data["gt"]) >= 2
-    assert data["field"] == plan.field.to_json() and data["field"]["dim"] == 16
+    assert data["field"] == field_json(plan.field) and data["field"]["dim"] == 16
     assert data["predicted"]["mu"] == [0.0, 0.0]
+    # gt_peak and prediction_dev are None for a Werner plan and left out
+    report = plan.verify()
+    assert data["verification"] == {
+        "protocol": "werner", "gt": list(plan.times), "max_element_dev": report.max_element_dev,
+        "fidelity": report.fidelity, "concurrence": report.concurrence, "tolerance": 2e-3,
+        "passed": True, "per_time": [list(row) for row in report.per_time]}
     assert werner_solve(1 / 3, 1 / 6, dim=24).field.dim == 24
 
 

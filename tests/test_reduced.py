@@ -9,8 +9,8 @@ from hypothesis import assume, given, strategies as st
 
 from tcqubits import (FieldState, JointState, XStateElements, analytic_elements,
                       apply_propagator, assemble_density, bell1_plan, check_density,
-                      coherent_state, density_to_json, is_x_type, number_state, partial_trace,
-                      reduced, superpose)
+                      coherent_state, is_x_type, number_state, partial_trace, reduced, superpose)
+from tcqubits.cli import _re_im, build_field, main
 
 RNG = np.random.default_rng(918273)
 
@@ -259,6 +259,8 @@ def test_eg_ge_symmetry_for_gg_initial():
 def test_check_density_rejects_bad_matrices():
     with pytest.raises(ValueError):
         check_density(np.eye(4))  # trace 4
+    with pytest.raises(ValueError, match="density matrix must be 4x4"):
+        check_density(np.eye(3) / 3)
     bad = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     bad[0, 1] = 0.3  # not hermitian
     with pytest.raises(ValueError):
@@ -273,16 +275,23 @@ def test_check_density_rejects_bad_matrices():
 
 
 def test_batched_elements_encode_as_nested_lists_of_their_rows():
+    # the report's one [re, im] encoder nests like the array it is given
     fields = [superpose([(3, 1), (4, 1j)], 12), number_state(1, 12)]
     gts = np.array([0.0, 0.4, 1.1])
-    batch = json.loads(json.dumps(analytic_elements(fields, gts).to_json()))
-    for name, value in batch.items():
-        assert value == [[analytic_elements(f, gt).to_json()[name] for gt in gts] for f in fields]
+    batch = analytic_elements(fields, gts)
+    for name in ELEMENT_NAMES:
+        value = json.loads(json.dumps(_re_im(getattr(batch, name))))
+        assert value == [[_re_im(getattr(analytic_elements(f, gt), name)) for gt in gts]
+                         for f in fields]
 
 
-def test_density_json_encoding():
-    rho = analytic_rho(random_field(), 1.3)
-    data = density_to_json(rho)
+def test_density_json_encoding(capsys):
+    fld = random_field()
+    recipe = ";".join(f"{n}:{c.real:.17g},{c.imag:.17g}" for n, c in enumerate(fld.amplitudes))
+    assert main(["scan", "--field", recipe, "--dim", str(fld.dim), "--gt-min", "1.3",
+                 "--gt-max", "2", "--steps", "2", "--format", "json", "--outputs", "density"]) == 0
+    data = json.loads(capsys.readouterr().out)["rows"][0]["density"]
+    rho = analytic_rho(build_field(recipe, fld.dim)[0], 1.3)
     assert data == {"basis": ["ee", "eg", "ge", "gg"],
                     "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in rho]}
     assert all(type(x) is float for row in data["matrix"] for pair in row for x in pair)

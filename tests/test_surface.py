@@ -10,19 +10,26 @@ from tcqubits import propagator
 MODULES = ("fock", "propagator", "reduced", "entanglement", "oracle", "protocols", "cli")
 
 #: names removed because only tests used them and none of them is a cross-check,
-#: or because their one caller no longer needs them (ScanSpec, BLOCK_ENTRIES)
+#: or because their one caller no longer needs them (ScanSpec, BLOCK_ENTRIES), or
+#: because the JSON report schema lives in cli alone (the JSON encoders)
 DELETED_NAMES = ("propagator_matrix", "excitation_operator", "NegativeBranchSearch",
                  "density_from_json", "DEFAULT_TOLERANCES", "_parser", "ScanSpec",
                  "BLOCK_ENTRIES", "eof", "werner_eta_from_k", "neighbor_product_zero",
-                 "bell1_conditions_residual", "bell1_vector", "bell2_vector", "_classify_root")
+                 "bell1_conditions_residual", "bell1_vector", "bell2_vector", "_classify_root",
+                 "_json_complex", "_plan_json", "density_to_json")
 DELETED_MEMBERS = (("FieldState", "from_json"), ("FieldState", "norm"),
                    ("PathComparison", "to_json"), ("FieldState", "has_headroom"),
-                   ("XStateElements", "p"))
+                   ("XStateElements", "p"), ("FieldState", "to_json"),
+                   ("XStateElements", "to_json"), ("Bell1Plan", "to_json"),
+                   ("Bell2Plan", "to_json"), ("WernerPlan", "to_json"),
+                   ("VerificationReport", "to_json"))
 #: dataclass fields removed because no caller read them, or because their value is
-#: constant or derivable and the plan JSON writes it instead (unique_m, degenerate, period),
+#: constant or derivable and the plan's params write it instead (unique_m, degenerate, period),
 #: or because it is a theorem (NegativeBranchRoot.feasible is always False), or because it is
-#: derived from the other fields (NegativeBranchRoot.reason, a property of (c_m_sq, m))
-DELETED_FIELDS = (("Bell2Plan", "predicted_w"), ("PathComparison", "density_argmax"),
+#: derived from the other fields (NegativeBranchRoot.reason, a property of (c_m_sq, m)),
+#: or because it is the same for every instance (Bell2Plan.predicted, a class constant)
+DELETED_FIELDS = (("Bell2Plan", "predicted_w"), ("Bell2Plan", "predicted"),
+                  ("PathComparison", "density_argmax"),
                   ("PathComparison", "gt"), ("Bell2Plan", "unique_m"),
                   ("WernerPlan", "degenerate"), ("WernerPlan", "period"),
                   ("TargetState", "kind"), ("TargetState", "parameter"),
