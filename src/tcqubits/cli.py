@@ -15,11 +15,10 @@ their payloads from the package's objects, which write no JSON.
 Each command checks every input before it opens --out, so a usage error
 leaves an existing file untouched; an unwritable --out or stdout (a failed
 write or close, a full device, a reader that closed the pipe early, a
-closed descriptor 1) is a usage error too, and so is a --dim or --m too
-large to allocate. A field holds only its occupied levels, so --dim
-allocates nothing in scan or validate; what still allocates by --dim is
-plan's JSON field, padded to dim levels. Where the OS overcommits memory,
-such a run can be killed instead of exiting 2.
+closed descriptor 1) is a usage error too, and so is a --m or field level
+too large to allocate. A field holds only its occupied levels, so --dim
+is a bound and allocates nothing; where the OS overcommits memory, a
+huge --m can be killed instead of exiting 2.
 Exit codes: 0 success, 1 verification/validation failure, 2 usage error.
 Identical invocations (flags + seed) produce byte-identical output.
 """
@@ -244,30 +243,25 @@ def cmd_scan(args) -> int:
 def cmd_plan(args) -> int:
     try:
         if args.protocol == "bell1":
-            plan = bell1_plan(args.m, parse_phase(args.phi), dim=args.dim)
+            plan = bell1_plan(args.m, parse_phase(args.phi))
         elif args.protocol == "bell2":
             plan = bell2_plan(args.l)
         else:
             plan = werner_solve(args.v_plus, args.w, gt_max=args.gt_max)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    fld, pred = plan.field, plan.predicted
-    try:   # the JSON field lists all dim levels, one shared zero pair above the held ones
-        amplitudes = _re_im(fld.amplitudes) + [[0.0, 0.0]] * (fld.dim - fld.amplitudes.size)
-    except (OverflowError, MemoryError):
-        raise UsageError(f"--dim {fld.dim} is too large to write out") from None
-
     report = verify_plan(plan, tolerance=args.tol)
-    # the report's fields under their own names, gt_values as "gt"; None and an empty per_time drop
-    verification = {"gt" if name == "gt_values" else name: value
-                    for name, value in vars(report).items() if value is not None and value != ()}
+    fld, pred = plan.field, plan.predicted
     payload = {
-        "protocol": args.protocol, "params": plan.params, "gt": list(report.gt_values),
-        "field": {"dim": fld.dim, "amplitudes": amplitudes},
+        "protocol": args.protocol, "params": plan.params, "gt": list(report.gt),
+        # all dim levels, one shared zero pair above the held ones
+        "field": {"dim": fld.dim, "amplitudes": _re_im(fld.amplitudes)
+                  + [[0.0, 0.0]] * (fld.dim - fld.amplitudes.size)},
         "predicted": {"v_plus": pred.v_plus, "v_minus": pred.v_minus, "w": pred.w, "p": pred.w,
                       "h_plus": _re_im(pred.h_plus), "h_minus": _re_im(pred.h_minus),
                       "mu": _re_im(pred.mu)},
-        "verification": verification,
+        "verification": {name: value for name, value in vars(report).items()
+                         if value is not None and value != ()},
     }
     with _output(args.out) as out:
         out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -369,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p1 = plan_sub.add_parser("bell1", parents=[plan_opts])
     p1.add_argument("--m", type=int, required=True)
     p1.add_argument("--phi", default="0", help="relative phase (accepts 'pi' forms)")
-    p1.add_argument("--dim", type=int, default=None)
     p2 = plan_sub.add_parser("bell2", parents=[plan_opts])
     p2.add_argument("--l", type=int, default=1)
     pw = plan_sub.add_parser("werner", parents=[plan_opts])
@@ -400,7 +393,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:   # --dim or --m past what this host can allocate
+    except MemoryError as exc:   # --m or a field level past what this host can allocate
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 

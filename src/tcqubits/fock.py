@@ -105,7 +105,11 @@ def superpose(terms, dim: int) -> FieldState:
     for n, _ in terms:
         if not 0 <= n < dim:
             raise IndexError(f"photon number {n} outside truncation [0, {dim})")
-    amp = np.zeros(max((n for n, _ in terms), default=0) + 1, dtype=complex)
+    top = max((n for n, _ in terms), default=0)
+    try:
+        amp = np.zeros(top + 1, dtype=complex)
+    except ValueError:   # numpy's array size limit; a MemoryError passes through
+        raise ValueError(f"photon number {top} is too large to allocate") from None
     for n, coeff in terms:
         amp[n] += complex(coeff)
     if not np.isfinite(amp).all():

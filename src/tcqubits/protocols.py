@@ -167,7 +167,7 @@ class Bell1Plan:
                                   self.gt1 - half, self.gt1 + half)
         rho, devs, fids, concs = _measure(self.field, [gt_peak, self.gt1], self.target)
         return VerificationReport(
-            protocol="bell1", gt_values=(self.gt1,), max_element_dev=devs[0],
+            protocol="bell1", gt=(self.gt1,), max_element_dev=devs[0],
             fidelity=fids[0], concurrence=concs[0], tolerance=tol,
             passed=bool(fids[0] >= 1.0 - tol), gt_peak=gt_peak,
             prediction_dev=float(np.max(np.abs(rho[1] - assemble_density(self.predicted)))))
@@ -350,7 +350,7 @@ class Bell2Plan:
         tol = self.TOLERANCE if tolerance is None else tolerance
         _, devs, fids, concs = _measure(self.field, [self.gt2], self.target)
         return VerificationReport(
-            protocol="bell2", gt_values=(self.gt2,), max_element_dev=devs[0],
+            protocol="bell2", gt=(self.gt2,), max_element_dev=devs[0],
             fidelity=fids[0], concurrence=concs[0], tolerance=tol,
             passed=bool(devs[0] <= tol))
 
@@ -407,7 +407,7 @@ class WernerPlan:
         _, devs, fids, concs = _measure(self.field, self.times, self.target)
         worst = max(devs)
         return VerificationReport(
-            protocol="werner", gt_values=self.times, max_element_dev=worst,
+            protocol="werner", gt=self.times, max_element_dev=worst,
             fidelity=fids[-1], concurrence=concs[-1], tolerance=tol,
             passed=bool(worst <= tol), per_time=tuple(zip(self.times, devs, fids, concs)))
 
@@ -479,7 +479,7 @@ def werner_solve(target_vplus: float, target_w: float, gt_max: float = 2.2,
 @dataclass(frozen=True)
 class VerificationReport:
     protocol: str
-    gt_values: tuple
+    gt: tuple
     max_element_dev: float
     fidelity: float
     concurrence: float

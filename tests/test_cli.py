@@ -306,7 +306,6 @@ def test_plan_bell1_at_a_huge_phase_passes(capsys):
 
 @pytest.mark.parametrize("args, message", [
     (["--m", "0"], "m must be >= 1"),
-    (["--m", "30", "--dim", "10"], "dim 10 too small"),
 ])
 def test_plan_bell1_bad_parameters_exit_2(args, message, capsys):
     code, out, err = run_cli(["plan", "bell1", *args], capsys)
@@ -382,18 +381,19 @@ def test_failed_write_or_close_on_out_exits_2(command, failing, monkeypatch, cap
     assert err == "error: cannot write --out 'full.txt': No space left on device\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["scan", "--field", "nonsense", "--gt-max", "1"],
-    ["plan", "bell2", "--tol", "nan"],
-    ["validate", "--trials", "0"],
-    ["validate", "--dim", "40", "--trials", "1", "--seed", "-1"],
-    ["plan", "bell1", "--m", "30", "--dim", str(10**30)],
+@pytest.mark.parametrize("argv, named", [
+    (["scan", "--field", "nonsense", "--gt-max", "1"], "'nonsense'"),
+    (["plan", "bell2", "--tol", "nan"], "--tol"),
+    (["validate", "--trials", "0"], "--trials"),
+    (["validate", "--dim", "40", "--trials", "1", "--seed", "-1"], "--seed"),
+    (["plan", "bell1", "--m", "30", "--dim", str(10**30)], "--dim"),   # plan takes no --dim
 ], ids=["scan-field", "plan-tol", "validate-trials", "validate-seed", "plan-dim"])
-def test_usage_error_leaves_an_existing_out_untouched(argv, tmp_path, capsys):
+def test_usage_error_leaves_an_existing_out_untouched(argv, named, tmp_path, capsys):
     path = tmp_path / "kept.txt"
     path.write_bytes(b"earlier output\n")
     code, out, err = run_cli([*argv, "--out", str(path)], capsys)
     assert_one_line_usage_error(code, out, err)
+    assert named in err
     assert path.read_bytes() == b"earlier output\n"
 
 
@@ -405,10 +405,10 @@ NUMPY_REFUSAL = ("Unable to allocate 1.46 TiB for an array with shape (100000000
     (["plan", "bell1", "--m", "30"], NUMPY_REFUSAL),
     (["scan", "--field", "vacuum", "--gt-max", "1"], NUMPY_REFUSAL),
     (["validate", "--trials", "1"], NUMPY_REFUSAL),
-    (["plan", "bell1", "--m", "30", "--dim", "40"], ""),
+    (["plan", "bell1", "--m", "30"], ""),
 ], ids=["plan", "scan", "validate", "bare-memory-error"])
 def test_unallocatable_field_exits_2(argv, message, monkeypatch, tmp_path, capsys):
-    # numpy raises MemoryError for a --dim or --m past the host's memory; the
+    # numpy raises MemoryError for a --m or field level past the host's memory; the
     # sizes here stay small and the field constructor refuses instead, since a
     # host that overcommits would grant a real terabyte request and then kill the run
     def refuse(self):
@@ -733,7 +733,7 @@ def test_repeated_calls_print_what_a_fresh_process_prints(capsys):
     # main reuses one parser; a default or value left over from an earlier
     # call must not change a later one
     calls = [
-        ["plan", "bell1", "--m", "12", "--phi", "pi", "--dim", "40", "--tol", "0.5"],
+        ["plan", "bell1", "--m", "12", "--phi", "pi", "--tol", "0.5"],
         ["scan", "--field", "single-photon", "--gt-max", "3", "--steps", "4",
          "--outputs", "concurrence", "--dim", "8"],
         ["validate", "--dim", "40", "--trials", "1", "--tol", "1e-20"],
@@ -776,7 +776,14 @@ SCAN_VACUUM = ["scan", "--field", "vacuum", "--dim", "8"]
      "truncation too small: tail mass 1.000e+00 exceeds 1e-10"),
     (["scan", "--field", "0:1,0", "--dim", "-3", "--gt-max", "1", "--steps", "2"],
      "invalid field recipe '0:1,0': dim must be >= 1"),
-], ids=["window", "steps", "outputs", "phase", "underflowing-cat", "negative-dim"])
+    (["scan", "--field", "bell1-m30", "--dim", "20", "--gt-max", "1"],
+     "invalid field recipe 'bell1-m30': dim 20 too small for support at m+2"),
+    # past numpy's array size limit, whose own message names no level
+    (["plan", "bell1", "--m", str(10**33)], f"photon number {10**33 + 2} is too large to allocate"),
+    (["scan", "--field", f"{10**33}:1,0", "--dim", str(10**34), "--gt-max", "1"],
+     f"invalid field recipe '{10**33}:1,0': photon number {10**33} is too large to allocate"),
+], ids=["window", "steps", "outputs", "phase", "underflowing-cat", "negative-dim", "bell1-dim",
+        "huge-m", "huge-level"])
 def test_scan_and_phase_checks_exit_2_with_their_message(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert_one_line_usage_error(code, out, err)

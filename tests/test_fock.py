@@ -191,13 +191,13 @@ def test_constructors_handle_underflowing_inputs(scale):
 
 
 def test_field_json_encoding(capsys):
-    # plan's JSON report writes its field on all dim levels
-    assert main(["plan", "bell1", "--m", "2", "--phi", "pi/2", "--dim", "8"]) in (0, 1)
+    # plan's JSON report writes its field on all dim levels, m + 5 for bell1
+    assert main(["plan", "bell1", "--m", "2", "--phi", "pi/2"]) in (0, 1)
     data = json.loads(capsys.readouterr().out)["field"]
-    s = bell1_plan(2, math.pi / 2, dim=8).field
-    assert s.amplitudes.size == 5   # levels 5..7 are zeros in the JSON alone
-    assert data == {"dim": 8, "amplitudes": [[float(c.real), float(c.imag)] for c in s.amplitudes]
-                    + [[0.0, 0.0]] * 3}
+    s = bell1_plan(2, math.pi / 2).field
+    assert s.amplitudes.size == 5   # levels 5..6 are zeros in the JSON alone
+    assert data == {"dim": 7, "amplitudes": [[float(c.real), float(c.imag)] for c in s.amplitudes]
+                    + [[0.0, 0.0]] * 2}
     assert data["amplitudes"][2] == [s.amplitudes[2].real, 0.0]
     assert data["amplitudes"][2][0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
     assert data["amplitudes"][4] == pytest.approx([0.0, 1.0 / math.sqrt(2.0)], abs=1e-15)

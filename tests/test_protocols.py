@@ -367,7 +367,7 @@ def test_bell1_plan_json(capsys):
         "v_plus": plan.predicted.v_plus, "v_minus": plan.predicted.v_minus,
         "w": 0.0, "p": 0.0, "h_plus": [0.0, 0.0], "h_minus": [0.0, 0.0],
         "mu": [mu.real, mu.imag]}
-    # the report's fields, gt_values as "gt", and an empty per_time left out
+    # the report's fields under their own names, and an empty per_time left out
     report = plan.verify()
     assert data["verification"] == {
         "protocol": "bell1", "gt": [plan.gt1], "max_element_dev": report.max_element_dev,
@@ -646,7 +646,7 @@ def test_verify_werner():
     report = verify_plan(werner_solve(1 / 3, 1 / 6))
     assert report.passed
     assert report.max_element_dev <= 1e-9  # solver output is far inside the 2e-3 gate
-    assert len(report.per_time) == len(report.gt_values)
+    assert len(report.per_time) == len(report.gt)
 
 
 @pytest.mark.parametrize("targets", [(1 / 3, 1 / 6), (0.2, 0.1), (0.4, 0.05)])

@@ -27,8 +27,10 @@ DELETED_MEMBERS = (("FieldState", "from_json"), ("FieldState", "norm"),
 #: constant or derivable and the plan's params write it instead (unique_m, degenerate, period),
 #: or because it is a theorem (NegativeBranchRoot.feasible is always False), or because it is
 #: derived from the other fields (NegativeBranchRoot.reason, a property of (c_m_sq, m)),
-#: or because it is the same for every instance (Bell2Plan.predicted, a class constant)
+#: or because it is the same for every instance (Bell2Plan.predicted, a class constant),
+#: or because it is renamed to the name the report schema writes (gt_values is gt)
 DELETED_FIELDS = (("Bell2Plan", "predicted_w"), ("Bell2Plan", "predicted"),
+                  ("VerificationReport", "gt_values"),
                   ("PathComparison", "density_argmax"),
                   ("PathComparison", "gt"), ("Bell2Plan", "unique_m"),
                   ("WernerPlan", "degenerate"), ("WernerPlan", "period"),
